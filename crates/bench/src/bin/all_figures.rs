@@ -1,392 +1,124 @@
-//! Runs every registered experiment in sequence and prints all tables —
-//! a one-command reproduction of the paper's evaluation section.
+//! Runs registered experiments in sequence and prints their reports — a
+//! one-command reproduction of the paper's evaluation section, and the
+//! only experiment CLI.
 //!
 //! ```sh
 //! cargo run --release -p wp2p-bench --bin all_figures            # quick
 //! cargo run --release -p wp2p-bench --bin all_figures -- --paper # full
 //! cargo run --release -p wp2p-bench --bin all_figures -- --only fig8
-//! cargo run --release -p wp2p-bench --bin all_figures -- --only fig2a --metrics-out out/
+//! cargo run --release -p wp2p-bench --bin all_figures -- --only soak --seed 42 --metrics-out out/
 //! ```
 //!
-//! The figures come from `p2p_simulation::experiments::registry`: each is
-//! an [`Experiment`](p2p_simulation::experiments::registry::Experiment)
-//! with a name, quick/paper parameter sets, and a canonical seed.
-//! `--only <name>` runs just the experiments whose name contains
-//! `<name>`. `--metrics-out <dir>` runs each figure with a live metrics
-//! handle and writes `<dir>/<figure>.metrics.json` plus
-//! `<dir>/<figure>.series.csv` — seed-deterministic under any worker
-//! count. `--faults <seed>` skips the figures and instead replays the
-//! seed's deterministic fault plan into both worlds with the swarm-wide
-//! invariant checker live — the harness for reproducing a failing seed
-//! from CI (same seed, byte-identical schedule and trace).
-//! `--soak <seed>` skips the figures and runs the chaos soak: every
-//! named fault scenario against an armed-resilience swarm, asserting
-//! recovery after each fault window and emitting the
-//! `soak.time_to_recover` series under `--metrics-out`.
-//! `--service <seed>` runs the multi-swarm service tier: sharded
-//! trackers, a Zipf/Poisson workload with flash crowds, a mid-run
-//! tracker-shard outage, and the Legout clustering probes, emitting the
-//! `service.*` gauges and per-shard load series under `--metrics-out`.
-//! `--blackout <seed>` runs the dark-tracker-tier degradation ladder:
-//! replica failover plus overload shedding while the tier is up, then a
-//! permanent whole-tier blackout the swarm must survive on PEX gossip
-//! alone (100% completions asserted), emitting the `blackout.*` and
-//! `pex.*` gauges under `--metrics-out`.
-//! `--exploit <seed>` runs the identity-retention exploit probe (honest
-//! retainers vs deliberate id-churners) and emits the `exploit.*`
-//! gauges; `--erosion <seed>` sweeps the free-rider share of the
-//! fig8 background swarm and emits the `erosion.fr*.{default,retention}_bytes`
-//! gauges — both byte-identical across replays and worker counts.
-//! `--snapshot` runs the save/restore differential on two scenarios and
-//! a warm-started fork sweep (exits nonzero if restore-then-run is not
-//! byte-identical to the straight run). `--bisect <seed>` generates a
-//! fault schedule with a planted fatal window and isolates the culprit
-//! in O(log n) snapshot restores. `--search <seed>` runs the seeded
-//! fault-schedule searcher and prints its reproducible
-//! `(seed, schedule)` artifact.
+//! Everything comes from `p2p_simulation::experiments::registry`: each
+//! entry is an [`Experiment`](p2p_simulation::experiments::registry::Experiment)
+//! with a name, quick/paper parameter sets, and a canonical seed — the
+//! paper's figures, the engineering experiments (`scale`, `soak`,
+//! `service`, `exploit`, `erosion`, `blackout`), the diagnostics
+//! (`faults`, `snapshot`, `bisect`, `search`) and `ablations`.
+//!
+//! * `--only <name>` runs just the entries whose name contains `<name>`.
+//! * `--paper` selects the paper-scale parameters.
+//! * `--seed <u64>` overrides every selected entry's canonical seed —
+//!   how a failing seed from CI is replayed (same seed, byte-identical
+//!   schedule, tables and dumps).
+//! * `--metrics-out <dir>` runs each entry with a live metrics handle
+//!   and writes `<dir>/<name>.metrics.json` plus `<dir>/<name>.series.csv`
+//!   — seed-deterministic under any worker count.
+//!
+//! Anything else — an unknown flag, a missing or unparsable value, a
+//! pattern that matches nothing — prints the usage and exits 2.
 //! Sweeps fan out across worker threads (`WP2P_THREADS` overrides the
 //! count; `WP2P_THREADS=1` is byte-identical to the parallel output).
-//! Per-figure cell counts and timings land in `BENCH_sweeps.json`.
-//! A figure driver that panics is reported and the process exits
-//! nonzero after the remaining figures have run.
+//! An entry that panics is reported and the process exits 1 after the
+//! remaining entries have run.
 
-use p2p_simulation::experiments::{
-    blackout, erosion, exploit, faults, registry, search, service, soak,
-};
-use p2p_simulation::harness::{self, SweepStats};
-use simnet::fault::{FaultPlan, FaultPlanConfig};
-use simnet::time::{SimDuration, SimTime};
+use p2p_simulation::experiments::registry;
+use p2p_simulation::harness;
+use std::path::PathBuf;
 use std::time::Instant;
-use wp2p_bench::{
-    dump_metrics, metrics_handle, metrics_out_from_args, preamble, preset_from_args, Preset,
-};
+use wp2p_bench::{dump_metrics, metrics_handle};
 
-struct FigureReport {
-    name: &'static str,
-    wall_secs: f64,
-    sweeps: Vec<SweepStats>,
-    panicked: bool,
+const USAGE: &str =
+    "usage: all_figures [--only <name>] [--paper] [--seed <u64>] [--metrics-out <dir>]";
+
+/// The parsed command line.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Args {
+    only: Option<String>,
+    paper: bool,
+    seed: Option<u64>,
+    metrics_out: Option<PathBuf>,
 }
 
-fn json_f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.4}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn sweeps_json(reports: &[FigureReport], total_wall: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"threads\": {},\n  \"total_wall_secs\": {},\n  \"figures\": [\n",
-        harness::worker_threads(),
-        json_f(total_wall)
-    ));
-    for (i, r) in reports.iter().enumerate() {
-        let cells: usize = r.sweeps.iter().map(|s| s.cells).sum();
-        let cell_wall: f64 = r.sweeps.iter().map(|s| s.cell_wall.as_secs_f64()).sum();
-        let virtual_secs: f64 = r.sweeps.iter().map(|s| s.virtual_secs).sum();
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"panicked\": {}, \"wall_secs\": {}, \
-\"cells\": {}, \"cell_wall_secs\": {}, \"speedup\": {}, \"virtual_secs\": {}, \"sweeps\": [",
-            r.name,
-            r.panicked,
-            json_f(r.wall_secs),
-            cells,
-            json_f(cell_wall),
-            json_f(cell_wall / r.wall_secs.max(1e-9)),
-            json_f(virtual_secs),
-        ));
-        for (j, s) in r.sweeps.iter().enumerate() {
-            out.push_str(&format!(
-                "{}{{\"name\": \"{}\", \"points\": {}, \"runs\": {}, \"cells\": {}, \
-\"threads\": {}, \"wall_secs\": {}, \"cell_wall_secs\": {}, \"virtual_secs\": {}}}",
-                if j == 0 { "" } else { ", " },
-                s.name,
-                s.points,
-                s.runs,
-                s.cells,
-                s.threads,
-                json_f(s.wall.as_secs_f64()),
-                json_f(s.cell_wall.as_secs_f64()),
-                json_f(s.virtual_secs),
-            ));
+/// Parses the arguments after the program name. Strict: every flag must
+/// be known and every value present and well-formed.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut out = Args::default();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} takes a value"));
+        match flag.as_str() {
+            "--paper" => out.paper = true,
+            "--only" => out.only = Some(value()?.clone()),
+            "--metrics-out" => out.metrics_out = Some(PathBuf::from(value()?)),
+            "--seed" => {
+                let v = value()?;
+                out.seed = Some(
+                    v.parse()
+                        .map_err(|_| format!("--seed takes a u64, got {v:?}"))?,
+                );
+            }
+            _ => return Err(format!("unknown argument {flag:?}")),
         }
-        out.push_str(&format!(
-            "]}}{}\n",
-            if i + 1 == reports.len() { "" } else { "," }
-        ));
     }
-    out.push_str("  ]\n}\n");
-    out
+    Ok(out)
+}
+
+fn usage_exit(problem: &str) -> ! {
+    eprintln!("all_figures: {problem}\n{USAGE}");
+    std::process::exit(2);
 }
 
 fn main() {
-    let preset = preset_from_args();
-    preamble("All figures", preset);
-    let quick = preset == Preset::Quick;
-    let metrics_out = metrics_out_from_args();
-
-    let args: Vec<String> = std::env::args().collect();
-    let only: Option<String> = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
-    if let Some(seed) = args
-        .iter()
-        .position(|a| a == "--faults")
-        .and_then(|i| args.get(i + 1))
-    {
-        let seed: u64 = seed.parse().expect("--faults takes a u64 seed");
-        let horizon = if quick { 120 } else { 600 };
-        let flow_handle = metrics_handle(metrics_out.as_deref(), seed);
-        let pkt_handle = metrics_handle(metrics_out.as_deref(), seed);
-        let flow = faults::replay_flow_with(seed, SimDuration::from_secs(horizon), &flow_handle);
-        let pkt =
-            faults::replay_packet_with(seed, SimDuration::from_secs(horizon.min(60)), &pkt_handle);
-        print!("{}", flow.schedule);
-        println!();
-        faults::fault_table(seed, &flow, &pkt).print();
-        if let Some(dir) = &metrics_out {
-            dump_metrics(dir, "faults_flow", &flow_handle);
-            dump_metrics(dir, "faults_packet", &pkt_handle);
-        }
-        return;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| usage_exit(&e));
+    let selected = registry::matching(args.only.as_deref().unwrap_or(""));
+    if selected.is_empty() {
+        usage_exit(&format!(
+            "--only {:?} matches no experiment (have: {})",
+            args.only.as_deref().unwrap_or(""),
+            registry::all()
+                .iter()
+                .map(|e| e.name())
+                .collect::<Vec<_>>()
+                .join(", ")
+        ));
     }
-
-    if let Some(seed) = args
-        .iter()
-        .position(|a| a == "--soak")
-        .and_then(|i| args.get(i + 1))
-    {
-        let seed: u64 = seed.parse().expect("--soak takes a u64 seed");
-        let params = if quick {
-            soak::SoakParams::quick()
-        } else {
-            soak::SoakParams::paper()
-        };
-        let handle = metrics_handle(metrics_out.as_deref(), seed);
-        let points = soak::run_soak_with(&params, &handle, seed);
-        for p in &points {
-            println!("## {} — {}", p.name, p.what);
-            print!("{}", p.outcome.schedule);
-            println!();
-        }
-        soak::soak_table(&points).print();
-        if let Some(dir) = &metrics_out {
-            dump_metrics(dir, "soak", &handle);
-        }
-        return;
-    }
-
-    if let Some(seed) = args
-        .iter()
-        .position(|a| a == "--service")
-        .and_then(|i| args.get(i + 1))
-    {
-        let seed: u64 = seed.parse().expect("--service takes a u64 seed");
-        let params = if quick {
-            service::ServiceParams::quick()
-        } else {
-            service::ServiceParams::paper()
-        };
-        let handle = metrics_handle(metrics_out.as_deref(), seed);
-        let outcome = service::run_service_with(&params, &handle, seed);
-        service::service_table(&outcome).print();
-        if let Some(dir) = &metrics_out {
-            dump_metrics(dir, "service", &handle);
-        }
-        return;
-    }
-
-    if let Some(seed) = args
-        .iter()
-        .position(|a| a == "--blackout")
-        .and_then(|i| args.get(i + 1))
-    {
-        let seed: u64 = seed.parse().expect("--blackout takes a u64 seed");
-        let params = if quick {
-            blackout::BlackoutParams::quick()
-        } else {
-            blackout::BlackoutParams::paper()
-        };
-        let handle = metrics_handle(metrics_out.as_deref(), seed);
-        let outcome = blackout::run_blackout_with(&params, &handle, seed);
-        blackout::blackout_table(&outcome).print();
-        if let Some(dir) = &metrics_out {
-            dump_metrics(dir, "blackout", &handle);
-        }
-        return;
-    }
-
-    if let Some(seed) = args
-        .iter()
-        .position(|a| a == "--exploit")
-        .and_then(|i| args.get(i + 1))
-    {
-        let seed: u64 = seed.parse().expect("--exploit takes a u64 seed");
-        let params = if quick {
-            exploit::ExploitParams::quick()
-        } else {
-            exploit::ExploitParams::paper()
-        };
-        let handle = metrics_handle(metrics_out.as_deref(), seed);
-        let outcome = exploit::run_exploit_with(&params, &handle, seed);
-        exploit::exploit_table(&outcome).print();
-        if let Some(dir) = &metrics_out {
-            dump_metrics(dir, "exploit", &handle);
-        }
-        return;
-    }
-
-    if let Some(seed) = args
-        .iter()
-        .position(|a| a == "--erosion")
-        .and_then(|i| args.get(i + 1))
-    {
-        let seed: u64 = seed.parse().expect("--erosion takes a u64 seed");
-        let params = if quick {
-            erosion::ErosionParams::quick()
-        } else {
-            erosion::ErosionParams::paper()
-        };
-        let handle = metrics_handle(metrics_out.as_deref(), seed);
-        let points = erosion::run_erosion_with(&params, &handle, seed);
-        erosion::erosion_table(&points).print();
-        if let Some(dir) = &metrics_out {
-            dump_metrics(dir, "erosion", &handle);
-        }
-        return;
-    }
-
-    if args.iter().any(|a| a == "--snapshot") {
-        // Save/restore differential on two scenarios, plus a
-        // warm-started fork sweep — the CI snapshot job's entry point.
-        let seed = 0x5A9;
-        let handle = metrics_handle(metrics_out.as_deref(), seed);
-        let checks = search::snapshot_selfcheck(seed, &handle);
-        search::selfcheck_table(seed, &checks).print();
-        println!();
-        let warmup = SimTime::from_secs(30);
-        let build = || search::diagnostic_world(seed, 32 * 1024 * 1024);
-        let nodes: Vec<simnet::addr::NodeId> = (0..4).map(simnet::addr::NodeId).collect();
-        let arms: Vec<search::ForkArm> = (0..4)
-            .map(|i| search::ForkArm {
-                name: format!("arm{i}"),
-                plan: FaultPlan::generate(
-                    seed + i,
-                    &FaultPlanConfig::new(SimDuration::from_secs(150), nodes.clone()),
-                ),
-            })
-            .collect();
-        let outs = search::warm_fork_sweep(
-            &build,
-            warmup,
-            SimTime::from_secs(200),
-            &arms,
-            &search::all_leeches_done,
-            &handle,
-        );
-        search::fork_table(warmup, &outs).print();
-        if let Some(dir) = &metrics_out {
-            dump_metrics(dir, "snapshot", &handle);
-        }
-        if checks.iter().any(|c| !c.identical) {
-            eprintln!("SNAPSHOT CHECK FAILED: restore-then-run diverged");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if let Some(seed) = args
-        .iter()
-        .position(|a| a == "--bisect")
-        .and_then(|i| args.get(i + 1))
-    {
-        let seed: u64 = seed.parse().expect("--bisect takes a u64 seed");
-        let handle = metrics_handle(metrics_out.as_deref(), seed);
-        // A generated schedule plus one planted fatal window: the
-        // bisection isolates whichever window first breaks liveness.
-        let nodes: Vec<simnet::addr::NodeId> = (0..4).map(simnet::addr::NodeId).collect();
-        let mut plan = FaultPlan::generate(
-            seed,
-            &FaultPlanConfig::new(SimDuration::from_secs(120), nodes),
-        );
-        plan.push(
-            SimTime::from_secs(45),
-            simnet::fault::FaultKind::LinkBlackhole {
-                node: simnet::addr::NodeId(1),
-                duration: SimDuration::from_secs(3_600),
-            },
-        );
-        let build = || search::diagnostic_world(seed, 32 * 1024 * 1024);
-        let out = search::bisect_fault_windows(
-            &build,
-            &plan,
-            SimTime::from_secs(200),
-            &search::all_leeches_done,
-            &handle,
-        );
-        print!("{}", out.schedule);
-        println!();
-        search::bisect_table(seed, &out).print();
-        if let Some(dir) = &metrics_out {
-            dump_metrics(dir, "bisect", &handle);
-        }
-        return;
-    }
-
-    if let Some(seed) = args
-        .iter()
-        .position(|a| a == "--search")
-        .and_then(|i| args.get(i + 1))
-    {
-        let seed: u64 = seed.parse().expect("--search takes a u64 seed");
-        let params = if quick {
-            search::SearchParams::quick()
-        } else {
-            search::SearchParams::paper()
-        };
-        let handle = metrics_handle(metrics_out.as_deref(), seed);
-        let out = search::search_fault_schedules(&params, &handle, seed);
-        println!("{}", out.artifact);
-        search::search_table(&out).print();
-        if let Some(dir) = &metrics_out {
-            dump_metrics(dir, "search", &handle);
-        }
-        return;
-    }
+    println!(
+        "# All figures — preset: {} (pass --paper for full scale)",
+        if args.paper { "paper" } else { "quick" }
+    );
 
     let total_start = Instant::now();
-    let mut reports = Vec::new();
     let mut failed = Vec::new();
+    let (mut cells, mut cell_wall) = (0usize, 0f64);
     harness::take_stats(); // drop anything recorded before the run
-    for e in registry::all() {
+    for e in selected {
         let name = e.name();
-        if let Some(pat) = &only {
-            if !name.contains(pat.as_str()) {
-                continue;
-            }
-        }
-        let params = if quick {
-            e.default_params()
-        } else {
+        let params = if args.paper {
             e.paper_params()
+        } else {
+            e.default_params()
         };
-        let handle = metrics_handle(metrics_out.as_deref(), e.default_seed());
-        let t0 = Instant::now();
+        let seed = args.seed.unwrap_or_else(|| e.default_seed());
+        let handle = metrics_handle(args.metrics_out.as_deref(), seed);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            e.run(&params, &handle, e.default_seed())
+            e.run(&params, &handle, seed)
         }));
-        let wall_secs = t0.elapsed().as_secs_f64();
-        let panicked = outcome.is_err();
         match outcome {
             Ok(report) => {
                 report.print();
-                if let Some(dir) = &metrics_out {
+                if let Some(dir) = &args.metrics_out {
                     dump_metrics(dir, name, &handle);
                 }
             }
@@ -396,30 +128,12 @@ fn main() {
             }
         }
         println!();
-        reports.push(FigureReport {
-            name,
-            wall_secs,
-            sweeps: harness::take_stats(),
-            panicked,
-        });
+        for s in harness::take_stats() {
+            cells += s.cells;
+            cell_wall += s.cell_wall.as_secs_f64();
+        }
     }
     let total_wall = total_start.elapsed().as_secs_f64();
-
-    let json = sweeps_json(&reports, total_wall);
-    match std::fs::write("BENCH_sweeps.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_sweeps.json ({} figures)", reports.len()),
-        Err(e) => eprintln!("could not write BENCH_sweeps.json: {e}"),
-    }
-    let cells: usize = reports
-        .iter()
-        .flat_map(|r| &r.sweeps)
-        .map(|s| s.cells)
-        .sum();
-    let cell_wall: f64 = reports
-        .iter()
-        .flat_map(|r| &r.sweeps)
-        .map(|s| s.cell_wall.as_secs_f64())
-        .sum();
     eprintln!(
         "ran {} sweep cells on {} threads: {:.1}s wall, {:.1}s serial-equivalent ({:.2}x)",
         cells,
@@ -431,5 +145,74 @@ fn main() {
     if !failed.is_empty() {
         eprintln!("{} figure(s) failed: {}", failed.len(), failed.join(", "));
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn no_arguments_is_the_default_suite() {
+        assert_eq!(parse(&[]), Ok(Args::default()));
+    }
+
+    #[test]
+    fn every_flag_parses_in_any_order() {
+        let want = Args {
+            only: Some("soak".into()),
+            paper: true,
+            seed: Some(42),
+            metrics_out: Some(PathBuf::from("out")),
+        };
+        assert_eq!(
+            parse(&[
+                "--only",
+                "soak",
+                "--paper",
+                "--seed",
+                "42",
+                "--metrics-out",
+                "out"
+            ]),
+            Ok(want.clone())
+        );
+        assert_eq!(
+            parse(&[
+                "--metrics-out",
+                "out",
+                "--seed",
+                "42",
+                "--only",
+                "soak",
+                "--paper"
+            ]),
+            Ok(want)
+        );
+    }
+
+    #[test]
+    fn rejects_unknown_missing_and_malformed() {
+        // A retired per-experiment flag is unknown, not silently ignored.
+        assert!(parse(&["--soak", "42"]).unwrap_err().contains("--soak"));
+        assert!(parse(&["stray"]).unwrap_err().contains("stray"));
+        // A dangling flag used to run everything.
+        assert!(parse(&["--only"]).unwrap_err().contains("takes a value"));
+        assert!(parse(&["--paper", "--seed"])
+            .unwrap_err()
+            .contains("takes a value"));
+        assert!(parse(&["--metrics-out"])
+            .unwrap_err()
+            .contains("takes a value"));
+        for bad in ["x", "-1", "1.5", ""] {
+            assert!(
+                parse(&["--seed", bad]).unwrap_err().contains("u64"),
+                "{bad:?}"
+            );
+        }
     }
 }

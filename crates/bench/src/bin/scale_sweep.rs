@@ -1,279 +1,55 @@
-//! Large-swarm scale sweep: wall-clock scaling of the flow world under
-//! the heap and wheel event-queue schedulers.
+//! Single-cell scale timer: one flow-world swarm of `SIZE` peers, timed.
 //!
-//! For every swarm size the same seeded run executes once per scheduler;
-//! the two runs must produce identical observables (a built-in
-//! differential check on top of the unit-level one), and the wall-clock
-//! per simulated second of each lands in `BENCH_scale.json`.
+//! ```sh
+//! cargo run --release -p wp2p-bench --bin scale_sweep -- 16384 42
+//! ```
 //!
-//! Each timed run executes in a fresh child process (the binary re-execs
-//! itself with a hidden `--one` flag): back-to-back multi-minute runs in
-//! one process let allocator and page-cache warm-up leak from one
-//! scheduler's measurement into the next, which at the 2048-peer scale
-//! is the same order as the scheduler difference being measured.
-//!
-//! Flags: `--paper` (paper-scale durations), `--max-size N` (cap the
-//! size axis — the CI smoke job uses this), `--xl` (append 16k/65k
-//! wheel-only trend rows), `--metrics-out DIR`.
-//!
-//! XL rows run the wheel scheduler once (no heap counterpart, no
-//! repeat): at 65k peers the point is the wall/vsec trend line the
-//! incremental solver bends, not a scheduler differential — their
-//! `identical` field is `null` in `BENCH_scale.json`.
+//! `scale_sweep SIZE [SEED] [--paper]` runs one
+//! [`run_scale_once`](p2p_simulation::experiments::scale::run_scale_once)
+//! cell (quick-preset durations unless `--paper`; seed defaults to the
+//! scale experiment's) and prints its wall clock, wall per virtual
+//! second, and deterministic observables. CI uses it to hold the
+//! 16k-peer cell inside a wall budget; the repeated, committed
+//! measurements live in the repo benchmark (`benchmark/`).
 
-use p2p_simulation::experiments::scale::{
-    run_scale_once_sched, scale_table, run_scale_with, ScaleCell, ScaleParams, SCALE_SEED,
-};
-use simnet::event::Scheduler;
-use std::process::Command;
+use metrics::handle::MetricsHandle;
+use p2p_simulation::experiments::scale::{run_scale_once, ScaleParams, SCALE_SEED};
 use std::time::Instant;
-use wp2p_bench::{
-    dump_metrics, metrics_handle, metrics_out_from_args, preamble, preset_from_args, Preset,
-};
 
-struct SizeResult {
-    peers: usize,
-    cell: ScaleCell,
-    /// `None` on wheel-only XL trend rows.
-    heap_wall: Option<f64>,
-    wheel_wall: f64,
-    /// `None` when no differential ran (XL trend rows).
-    identical: Option<bool>,
-}
-
-fn max_size_from_args() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--max-size")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn xl_from_args() -> bool {
-    std::env::args().any(|a| a == "--xl")
-}
-
-/// Hidden child mode: `--one SIZE SCHED SEED` runs a single timed cell
-/// and prints one machine-readable line on stdout for the parent.
-fn one_from_args() -> Option<(usize, Scheduler, u64)> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--one")?;
-    let size = args.get(i + 1)?.parse().ok()?;
-    let sched = match args.get(i + 2)?.as_str() {
-        "heap" => Scheduler::Heap,
-        "wheel" => Scheduler::Wheel,
+/// `SIZE [SEED] [--paper]` → `(size, seed, paper)`; `None` on anything else.
+fn parse_args(args: &[String]) -> Option<(usize, u64, bool)> {
+    let (flags, nums): (Vec<&String>, Vec<&String>) =
+        args.iter().partition(|a| a.starts_with("--"));
+    let paper = match flags[..] {
+        [] => false,
+        [f] if f == "--paper" => true,
         _ => return None,
     };
-    let seed = args.get(i + 3)?.parse().ok()?;
-    Some((size, sched, seed))
-}
-
-fn run_one_and_print(params: &ScaleParams, size: usize, sched: Scheduler, seed: u64) {
-    let disabled = metrics::handle::MetricsHandle::disabled();
-    let t0 = Instant::now();
-    let cell = run_scale_once_sched(params, size, sched, &disabled, seed);
-    let wall = t0.elapsed().as_secs_f64();
-    // Bit-exact fields so the parent's differential check loses nothing
-    // in transit.
-    println!(
-        "{} {} {} {} {} {} {} {} {} {} {} {} {}",
-        wall.to_bits(),
-        cell.completed,
-        cell.mean_progress.to_bits(),
-        cell.events,
-        cell.queue_peak,
-        cell.scheduled,
-        cell.cancelled,
-        cell.cancel_noops,
-        cell.stall_aborts,
-        cell.solver_full,
-        cell.solver_incremental,
-        cell.solver_class,
-        cell.solver_resources_touched
-    );
-}
-
-/// Runs one timed cell in a fresh process and parses its report.
-fn timed_child(preset: Preset, size: usize, sched: Scheduler, seed: u64) -> (f64, ScaleCell) {
-    let exe = std::env::current_exe().expect("own binary path");
-    let mut cmd = Command::new(exe);
-    if matches!(preset, Preset::Paper) {
-        cmd.arg("--paper");
-    }
-    let name = match sched {
-        Scheduler::Heap => "heap",
-        Scheduler::Wheel => "wheel",
+    let (size, seed) = match nums[..] {
+        [size] => (size.parse().ok()?, SCALE_SEED),
+        [size, seed] => (size.parse().ok()?, seed.parse().ok()?),
+        _ => return None,
     };
-    let out = cmd
-        .args(["--one", &size.to_string(), name, &seed.to_string()])
-        .output()
-        .expect("spawn timed child");
-    assert!(out.status.success(), "timed child failed for {size} {name}");
-    let text = String::from_utf8(out.stdout).expect("child report is UTF-8");
-    let f: Vec<u64> = text
-        .split_whitespace()
-        .map(|v| v.parse().expect("child report field"))
-        .collect();
-    assert_eq!(f.len(), 13, "malformed child report: {text:?}");
-    (
-        f64::from_bits(f[0]),
-        ScaleCell {
-            completed: f[1] as usize,
-            mean_progress: f64::from_bits(f[2]),
-            events: f[3],
-            queue_peak: f[4] as usize,
-            scheduled: f[5],
-            cancelled: f[6],
-            cancel_noops: f[7],
-            stall_aborts: f[8],
-            solver_full: f[9],
-            solver_incremental: f[10],
-            solver_class: f[11],
-            solver_resources_touched: f[12],
-        },
-    )
-}
-
-fn json_f(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.4}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn scale_json(preset: Preset, vsecs: f64, results: &[SizeResult]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"preset\": \"{}\",\n  \"virtual_secs\": {},\n  \"sizes\": [\n",
-        match preset {
-            Preset::Quick => "quick",
-            Preset::Paper => "paper",
-        },
-        json_f(vsecs)
-    ));
-    for (i, r) in results.iter().enumerate() {
-        let opt = |x: Option<f64>| x.map_or("null".to_string(), json_f);
-        out.push_str(&format!(
-            concat!(
-                "    {{\"peers\": {}, \"events\": {}, \"queue_peak\": {}, ",
-                "\"scheduled\": {}, \"cancelled\": {}, \"stall_aborts\": {}, ",
-                "\"solver_full\": {}, \"solver_incremental\": {}, ",
-                "\"solver_class\": {}, \"solver_resources_touched\": {}, ",
-                "\"heap_wall_secs\": {}, \"wheel_wall_secs\": {}, ",
-                "\"heap_wall_per_vsec\": {}, \"wheel_wall_per_vsec\": {}, ",
-                "\"wheel_speedup\": {}, \"identical\": {}}}{}\n"
-            ),
-            r.peers,
-            r.cell.events,
-            r.cell.queue_peak,
-            r.cell.scheduled,
-            r.cell.cancelled,
-            r.cell.stall_aborts,
-            r.cell.solver_full,
-            r.cell.solver_incremental,
-            r.cell.solver_class,
-            r.cell.solver_resources_touched,
-            opt(r.heap_wall),
-            json_f(r.wheel_wall),
-            opt(r.heap_wall.map(|h| h / vsecs)),
-            json_f(r.wheel_wall / vsecs),
-            opt(r.heap_wall.map(|h| h / r.wheel_wall.max(1e-9))),
-            r.identical
-                .map_or("null".to_string(), |b| b.to_string()),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    (size >= 2).then_some((size, seed, paper))
 }
 
 fn main() {
-    let preset = preset_from_args();
-    let params = match preset {
-        Preset::Quick => ScaleParams::quick(),
-        Preset::Paper => ScaleParams::paper(),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((size, seed, paper)) = parse_args(&args) else {
+        eprintln!("usage: scale_sweep SIZE [SEED] [--paper]   (SIZE >= 2)");
+        std::process::exit(2);
     };
-    if let Some((size, sched, seed)) = one_from_args() {
-        run_one_and_print(&params, size, sched, seed);
-        return;
-    }
-    preamble("Scale sweep", preset);
-    // The size axis always reaches 2048 (that is the point of the
-    // sweep); the preset only controls per-run duration and file size.
-    let mut sizes: Vec<usize> = vec![16, 64, 256, 512, 1024, 2048];
-    if let Some(cap) = max_size_from_args() {
-        sizes.retain(|&s| s <= cap);
-    }
-    let vsecs = params.duration.as_secs_f64();
-    let mut results: Vec<SizeResult> = Vec::new();
-    let mut all_identical = true;
-    for (point, &size) in sizes.iter().enumerate() {
-        let seed = p2p_simulation::harness::cell_seed(SCALE_SEED, point, 0);
-        // Two timed runs per scheduler, each in a fresh child process,
-        // in alternating order (heap, wheel, wheel, heap) so any
-        // machine-level drift over the four runs cancels; keep the
-        // per-scheduler minimum (the least-disturbed measurement).
-        let timed = |s: Scheduler| timed_child(preset, size, s, seed);
-        let (h1, heap) = timed(Scheduler::Heap);
-        let (w1, wheel) = timed(Scheduler::Wheel);
-        let (w2, wheel2) = timed(Scheduler::Wheel);
-        let (h2, heap2) = timed(Scheduler::Heap);
-        let heap_wall = h1.min(h2);
-        let wheel_wall = w1.min(w2);
-        let identical = heap == wheel && wheel == wheel2 && heap == heap2;
-        if !identical {
-            all_identical = false;
-            eprintln!("DIFFERENTIAL MISMATCH at {size} peers:\n  heap:  {heap:?}\n  wheel: {wheel:?}");
-        }
-        eprintln!(
-            "  {size:>5} peers: heap {heap_wall:>7.2}s, wheel {wheel_wall:>7.2}s \
-             ({:.1} ms/vsec vs {:.1} ms/vsec), {} events{}",
-            1e3 * heap_wall / vsecs,
-            1e3 * wheel_wall / vsecs,
-            wheel.events,
-            if identical { "" } else { "  [MISMATCH]" }
-        );
-        results.push(SizeResult {
-            peers: size,
-            cell: wheel,
-            heap_wall: Some(heap_wall),
-            wheel_wall,
-            identical: Some(identical),
-        });
-    }
-    if xl_from_args() {
-        // Wheel-only trend rows at the XL sizes; one child each.
-        for (i, &size) in [16_384usize, 65_536].iter().enumerate() {
-            let seed = p2p_simulation::harness::cell_seed(SCALE_SEED, sizes.len() + i, 0);
-            let (wall, cell) = timed_child(preset, size, Scheduler::Wheel, seed);
-            eprintln!(
-                "  {size:>5} peers: wheel {wall:>7.2}s ({:.1} ms/vsec), {} events [xl trend]",
-                1e3 * wall / vsecs,
-                cell.events,
-            );
-            results.push(SizeResult {
-                peers: size,
-                cell,
-                heap_wall: None,
-                wheel_wall: wall,
-                identical: None,
-            });
-        }
-    }
-    let json = scale_json(preset, vsecs, &results);
-    match std::fs::write("BENCH_scale.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_scale.json ({} sizes)", results.len()),
-        Err(e) => eprintln!("could not write BENCH_scale.json: {e}"),
-    }
-    // The registry experiment's deterministic table (wheel, env-default
-    // sizes), plus metrics if requested.
-    let out = metrics_out_from_args();
-    let handle = metrics_handle(out.as_deref(), SCALE_SEED);
-    let points = run_scale_with(&params, &handle, SCALE_SEED);
-    scale_table(&points).print();
-    if let Some(dir) = &out {
-        dump_metrics(dir, "scale", &handle);
-    }
-    assert!(all_identical, "heap and wheel schedulers diverged");
+    let params = if paper {
+        ScaleParams::paper()
+    } else {
+        ScaleParams::quick()
+    };
+    let t0 = Instant::now();
+    let cell = run_scale_once(&params, size, &MetricsHandle::disabled(), seed);
+    let wall = t0.elapsed().as_secs_f64();
+    println!(
+        "{size} peers, seed {seed}: {wall:.2} s wall, {:.1} ms/vsec",
+        1e3 * wall / params.duration.as_secs_f64()
+    );
+    println!("{cell:?}");
 }

@@ -7,15 +7,134 @@
 //!
 //! The workspace carries no external crates, so instead of a generic
 //! JSON-Schema engine this binary hand-implements the schema's rules on
-//! top of `metrics::json::Json`. Exits nonzero listing every violation.
+//! top of `metrics::json::Json`. The per-experiment rules are one table,
+//! [`CONTRACT`]; a dump named `<stem>.metrics.json` must additionally
+//! carry every row the table marks as required in `<stem>`. Exits
+//! nonzero listing every violation.
 
 use metrics::json::Json;
+
+/// What a [`CONTRACT`] row demands of the names it matches.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Kind {
+    /// A gauge that is a finite non-negative number, never null (a
+    /// NaN/-inf would dump as null and slip the generic rule).
+    Gauge,
+    /// A gauge that may be negative or null (a difference or a ratio);
+    /// listed so its presence can be required.
+    LooseGauge,
+    /// A series whose every value is a finite non-negative number.
+    Series,
+}
+
+/// The per-experiment contract: `(kind, name pattern, stem)`. A name of
+/// that kind matching the pattern obeys the kind's rule in every dump;
+/// when `stem` is non-empty, the dump `<stem>.metrics.json` must hold at
+/// least one such name. Pattern syntax: literal text, `<digits>` (one or
+/// more ASCII digits), `{a,b}` (alternatives), and a leading `*` (any
+/// prefix). Each row has a same-named key in the schema file.
+const CONTRACT: &[(Kind, &str, &str)] = &[
+    // Solver gauges are counters-as-gauges.
+    (
+        Kind::Gauge,
+        "*.solver_{full,incremental,class,resources_touched}",
+        "",
+    ),
+    // Snapshot tooling: blob sizes and near-miss counts.
+    (Kind::Gauge, "snapshot.bytes", "snapshot"),
+    (Kind::Gauge, "search.near_miss", ""),
+    // Service tier: clustering coefficients, completion fraction and
+    // per-shard load (a dark shard reads zero, not a gap). The
+    // distortion gauge (fixed minus mobile) only gets the generic rule.
+    (Kind::Gauge, "service.cluster.{fixed,mobile}", "service"),
+    (Kind::Gauge, "service.completed_frac", ""),
+    (
+        Kind::Gauge,
+        "service.shard<digits>.{announces,peak_qps}",
+        "",
+    ),
+    (Kind::Series, "service.shard<digits>.qps", "service"),
+    // Strategy zoo: per-class downloads and spendable credit (exploit),
+    // per-share-point probe downloads (erosion). Exploit's advantage
+    // ratio only gets the generic rule; erosion's retention lead may go
+    // negative in a hostile swarm.
+    (
+        Kind::Gauge,
+        "exploit.{honest,churner}.{bytes,credit}",
+        "exploit",
+    ),
+    (
+        Kind::Gauge,
+        "erosion.fr<digits>.{default,retention}_bytes",
+        "erosion",
+    ),
+    (Kind::LooseGauge, "erosion.fr<digits>.lead", "erosion"),
+    // Dark-tier blackout: per-arm completion/percentile/load figures,
+    // dark-over-on degradation ratios, swarm-wide PEX gossip counters.
+    (
+        Kind::Gauge,
+        "blackout.{on,dark}_{fixed,mobile}.\
+{completed_frac,p50_s,p90_s,worst_s,announces,sheds,breaker_trips}",
+        "blackout",
+    ),
+    (
+        Kind::Gauge,
+        "blackout.degradation.{fixed,mobile}",
+        "blackout",
+    ),
+    (
+        Kind::Gauge,
+        "pex.{on,dark}_{fixed,mobile}.{sent,received,learned}",
+        "blackout",
+    ),
+    // Chaos soak: every window recovered.
+    (Kind::Series, "soak.time_to_recover", "soak"),
+];
+
+/// Whether `name` matches a [`CONTRACT`] pattern.
+fn matches(pat: &str, name: &str) -> bool {
+    if let Some(rest) = pat.strip_prefix('*') {
+        return (0..=name.len()).any(|i| name.is_char_boundary(i) && matches(rest, &name[i..]));
+    }
+    if let Some(rest) = pat.strip_prefix("<digits>") {
+        let n = name.bytes().take_while(u8::is_ascii_digit).count();
+        return n > 0 && matches(rest, &name[n..]);
+    }
+    if let Some(body) = pat.strip_prefix('{') {
+        let (alts, rest) = body
+            .split_once('}')
+            .expect("unclosed { in contract pattern");
+        return alts
+            .split(',')
+            .any(|alt| name.strip_prefix(alt).is_some_and(|n| matches(rest, n)));
+    }
+    let literal = pat.find(['<', '{']).unwrap_or(pat.len());
+    match name.strip_prefix(&pat[..literal]) {
+        Some(rest) if literal < pat.len() => matches(&pat[literal..], rest),
+        Some(rest) => rest.is_empty(),
+        None => false,
+    }
+}
+
+/// The pattern of the first `kind` row `name` falls under, if any.
+fn contract_row(kind: Kind, name: &str) -> Option<&'static str> {
+    CONTRACT
+        .iter()
+        .find(|(k, pat, _)| *k == kind && matches(pat, name))
+        .map(|(_, pat, _)| *pat)
+}
 
 fn is_uint(v: &Json) -> bool {
     matches!(v.as_num(), Some(x) if x >= 0.0 && x == x.trunc())
 }
 
-fn validate(doc: &Json, errors: &mut Vec<String>) {
+fn is_finite_non_negative(v: &Json) -> bool {
+    v.as_num().is_some_and(|x| x.is_finite() && x >= 0.0)
+}
+
+/// Checks one parsed dump; `stem` is its file name without
+/// `.metrics.json` (selects the required rows).
+fn validate(doc: &Json, stem: &str, errors: &mut Vec<String>) {
     let Some(top) = doc.as_obj() else {
         errors.push("top level is not an object".to_string());
         return;
@@ -58,88 +177,6 @@ fn validate(doc: &Json, errors: &mut Vec<String>) {
         }
     }
 
-    // Solver gauges are counters-as-gauges: finite, non-negative, never
-    // null (a NaN/-inf would dump as null and slip the generic rule).
-    const SOLVER_SUFFIXES: [&str; 4] = [
-        ".solver_full",
-        ".solver_incremental",
-        ".solver_class",
-        ".solver_resources_touched",
-    ];
-    // Snapshot tooling gauges carry the same hard contract: blob sizes
-    // and near-miss counts are finite non-negative numbers, never null.
-    const SNAPSHOT_GAUGES: [&str; 2] = ["snapshot.bytes", "search.near_miss"];
-    // Service-tier gauges: clustering coefficients, completion fraction,
-    // and per-shard load are finite non-negative, never null. The
-    // distortion gauge (fixed minus mobile) may be negative and only
-    // gets the generic rule.
-    fn is_service_gauge(name: &str) -> bool {
-        matches!(name, "service.cluster.fixed" | "service.cluster.mobile" | "service.completed_frac")
-            || (name.strip_prefix("service.shard").is_some_and(|rest| {
-                let Some(idx) = rest.find('.') else { return false };
-                rest[..idx].chars().all(|c| c.is_ascii_digit())
-                    && !rest[..idx].is_empty()
-                    && matches!(&rest[idx..], ".announces" | ".peak_qps")
-            }))
-    }
-    // Strategy-zoo gauges: per-class downloads and end-of-run spendable
-    // credit (exploit), and per-share-point probe downloads (erosion) are
-    // finite non-negative, never null. The derived gauges — exploit's
-    // churner-to-honest ratio and erosion's retention lead (which may go
-    // negative in a hostile swarm) — only get the generic rule.
-    fn is_exploit_gauge(name: &str) -> bool {
-        matches!(
-            name,
-            "exploit.honest.bytes"
-                | "exploit.honest.credit"
-                | "exploit.churner.bytes"
-                | "exploit.churner.credit"
-        )
-    }
-    fn is_erosion_gauge(name: &str) -> bool {
-        name.strip_prefix("erosion.fr").is_some_and(|rest| {
-            let Some(idx) = rest.find('.') else {
-                return false;
-            };
-            !rest[..idx].is_empty()
-                && rest[..idx].chars().all(|c| c.is_ascii_digit())
-                && matches!(&rest[idx..], ".default_bytes" | ".retention_bytes")
-        })
-    }
-    // Dark-tier blackout gauges: per-arm completion/percentile/load
-    // figures, dark-over-on degradation ratios, and the swarm-wide PEX
-    // gossip counters are all finite non-negative, never null.
-    const BLACKOUT_ARMS: [&str; 4] = ["on_fixed", "on_mobile", "dark_fixed", "dark_mobile"];
-    fn is_blackout_gauge(name: &str) -> bool {
-        if matches!(
-            name,
-            "blackout.degradation.fixed" | "blackout.degradation.mobile"
-        ) {
-            return true;
-        }
-        name.strip_prefix("blackout.").is_some_and(|rest| {
-            rest.split_once('.').is_some_and(|(arm, field)| {
-                BLACKOUT_ARMS.contains(&arm)
-                    && matches!(
-                        field,
-                        "completed_frac"
-                            | "p50_s"
-                            | "p90_s"
-                            | "worst_s"
-                            | "announces"
-                            | "sheds"
-                            | "breaker_trips"
-                    )
-            })
-        })
-    }
-    fn is_pex_gauge(name: &str) -> bool {
-        name.strip_prefix("pex.").is_some_and(|rest| {
-            rest.split_once('.').is_some_and(|(arm, field)| {
-                BLACKOUT_ARMS.contains(&arm) && matches!(field, "sent" | "received" | "learned")
-            })
-        })
-    }
     if let Some(gauges) = top.get("gauges") {
         match gauges.as_obj() {
             Some(m) => {
@@ -147,47 +184,13 @@ fn validate(doc: &Json, errors: &mut Vec<String>) {
                     if v.as_num().is_none() && *v != Json::Null {
                         errors.push(format!("gauge \"{name}\" is not a number or null"));
                     }
-                    if SOLVER_SUFFIXES.iter().any(|s| name.ends_with(s))
-                        && !v.as_num().is_some_and(|x| x.is_finite() && x >= 0.0)
-                    {
-                        errors.push(format!(
-                            "gauge \"{name}\": solver gauge must be a finite non-negative number"
-                        ));
-                    }
-                    if SNAPSHOT_GAUGES.contains(&name.as_str())
-                        && !v.as_num().is_some_and(|x| x.is_finite() && x >= 0.0)
-                    {
-                        errors.push(format!(
-                            "gauge \"{name}\": snapshot gauge must be a finite non-negative number"
-                        ));
-                    }
-                    if is_service_gauge(name)
-                        && !v.as_num().is_some_and(|x| x.is_finite() && x >= 0.0)
-                    {
-                        errors.push(format!(
-                            "gauge \"{name}\": service gauge must be a finite non-negative number"
-                        ));
-                    }
-                    if is_exploit_gauge(name)
-                        && !v.as_num().is_some_and(|x| x.is_finite() && x >= 0.0)
-                    {
-                        errors.push(format!(
-                            "gauge \"{name}\": exploit gauge must be a finite non-negative number"
-                        ));
-                    }
-                    if is_erosion_gauge(name)
-                        && !v.as_num().is_some_and(|x| x.is_finite() && x >= 0.0)
-                    {
-                        errors.push(format!(
-                            "gauge \"{name}\": erosion gauge must be a finite non-negative number"
-                        ));
-                    }
-                    if (is_blackout_gauge(name) || is_pex_gauge(name))
-                        && !v.as_num().is_some_and(|x| x.is_finite() && x >= 0.0)
-                    {
-                        errors.push(format!(
-                            "gauge \"{name}\": blackout gauge must be a finite non-negative number"
-                        ));
+                    if let Some(pat) = contract_row(Kind::Gauge, name) {
+                        if !is_finite_non_negative(v) {
+                            errors.push(format!(
+                                "gauge \"{name}\": must be a finite non-negative number \
+(contract \"{pat}\")"
+                            ));
+                        }
                     }
                 }
             }
@@ -237,6 +240,7 @@ fn validate(doc: &Json, errors: &mut Vec<String>) {
         match series.as_obj() {
             Some(m) => {
                 for (name, s) in m {
+                    let strict = contract_row(Kind::Series, name);
                     if !s.get("dropped").is_some_and(is_uint) {
                         errors.push(format!(
                             "series \"{name}\": dropped is not a non-negative integer"
@@ -267,32 +271,13 @@ fn validate(doc: &Json, errors: &mut Vec<String>) {
                                         "series \"{name}\" point {i}: value is not a number or null"
                                     ));
                                 }
-                                // The soak recovery series carries a hard
-                                // contract: every window recovered, so every
-                                // value is a finite non-negative number.
-                                if name == "soak.time_to_recover"
-                                    && !pair[1]
-                                        .as_num()
-                                        .is_some_and(|v| v.is_finite() && v >= 0.0)
-                                {
-                                    errors.push(format!(
-                                        "series \"{name}\" point {i}: recovery time must be a \
-finite non-negative number"
-                                    ));
-                                }
-                                // Per-shard tracker load carries the same
-                                // contract: a rate is never null, and a dark
-                                // shard reads zero, not a gap.
-                                if name.starts_with("service.shard")
-                                    && name.ends_with(".qps")
-                                    && !pair[1]
-                                        .as_num()
-                                        .is_some_and(|v| v.is_finite() && v >= 0.0)
-                                {
-                                    errors.push(format!(
-                                        "series \"{name}\" point {i}: shard qps must be a \
-finite non-negative number"
-                                    ));
+                                if let Some(pat) = strict {
+                                    if !is_finite_non_negative(&pair[1]) {
+                                        errors.push(format!(
+                                            "series \"{name}\" point {i}: must be a finite \
+non-negative number (contract \"{pat}\")"
+                                        ));
+                                    }
                                 }
                             }
                         }
@@ -326,6 +311,26 @@ finite non-negative number"
             None => errors.push("trace is not an array".to_string()),
         }
     }
+
+    for &(kind, pat, required_in) in CONTRACT {
+        if required_in.is_empty() || required_in != stem {
+            continue;
+        }
+        let section = if kind == Kind::Series {
+            "series"
+        } else {
+            "gauges"
+        };
+        let present = top
+            .get(section)
+            .and_then(Json::as_obj)
+            .is_some_and(|m| m.keys().any(|name| matches(pat, name)));
+        if !present {
+            errors.push(format!(
+                "the {stem} dump holds no {section} entry \"{pat}\""
+            ));
+        }
+    }
 }
 
 fn main() {
@@ -344,9 +349,14 @@ fn main() {
                 continue;
             }
         };
+        let file = std::path::Path::new(path)
+            .file_name()
+            .map(|f| f.to_string_lossy())
+            .unwrap_or_default();
+        let stem = file.strip_suffix(".metrics.json").unwrap_or(&file);
         let mut errors = Vec::new();
         match Json::parse(&text) {
-            Ok(doc) => validate(&doc, &mut errors),
+            Ok(doc) => validate(&doc, stem, &mut errors),
             Err(e) => errors.push(format!("not valid JSON: {e}")),
         }
         if errors.is_empty() {
@@ -366,220 +376,313 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metrics::handle::MetricsHandle;
+    use simnet::time::SimTime;
 
-    fn errors_for(text: &str) -> Vec<String> {
+    fn errors_for(text: &str, stem: &str) -> Vec<String> {
         let mut errors = Vec::new();
-        validate(&Json::parse(text).unwrap(), &mut errors);
+        validate(&Json::parse(text).unwrap(), stem, &mut errors);
         errors
     }
 
     #[test]
     fn accepts_a_real_dump() {
-        let handle = metrics::handle::MetricsHandle::enabled(7);
+        let handle = MetricsHandle::enabled(7);
         handle.counter("c").add(3);
         handle.gauge("g").set(1.5);
         handle.histogram("h", &[1.0, 10.0]).record(4.0);
         let s = handle.series("s");
-        s.record(simnet::time::SimTime::from_secs(1), 2.0);
-        s.record(simnet::time::SimTime::from_secs(2), 3.0);
-        assert_eq!(errors_for(&handle.to_json()), Vec::<String>::new());
+        s.record(SimTime::from_secs(1), 2.0);
+        s.record(SimTime::from_secs(2), 3.0);
+        assert_eq!(errors_for(&handle.to_json(), "any"), Vec::<String>::new());
     }
 
     #[test]
-    fn enforces_the_soak_recovery_contract() {
+    fn pattern_matcher_handles_every_construct() {
+        assert!(matches("a.b", "a.b"));
+        assert!(!matches("a.b", "a.bc") && !matches("a.b", "a.") && !matches("a.b", "xa.b"));
+        assert!(matches("fr<digits>.x", "fr40.x") && !matches("fr<digits>.x", "fr.x"));
+        assert!(!matches("fr<digits>.x", "fr4a.x"));
+        assert!(
+            matches("{on,dark}_{a,b}.z", "dark_a.z") && !matches("{on,dark}_{a,b}.z", "dim_a.z")
+        );
+        assert!(matches("*.s_{x,y}", "scale.n4.s_y") && !matches("*.s_{x,y}", "scale.n4.s_yy"));
+    }
+
+    type Build = fn(&MetricsHandle);
+
+    /// `(what, dump stem, how to fill the dump, the names that must be
+    /// flagged — one error each, and no others)`. Accept cases run under
+    /// their experiment's stem, so they also satisfy its required rows.
+    const CASES: &[(&str, &str, Build, &[&str])] = &[
         // Any other series may carry nulls; the soak recovery series
         // must be finite and non-negative at every point.
-        let good = metrics::handle::MetricsHandle::enabled(1);
-        let s = good.series("soak.time_to_recover");
-        s.record(simnet::time::SimTime::from_secs(0), 0.0);
-        s.record(simnet::time::SimTime::from_secs(1), 12.5);
-        assert_eq!(errors_for(&good.to_json()), Vec::<String>::new());
-
-        let bad = metrics::handle::MetricsHandle::enabled(1);
-        bad.series("soak.time_to_recover")
-            .record(simnet::time::SimTime::from_secs(0), -3.0);
-        let errs = errors_for(&bad.to_json());
-        assert!(
-            errs.iter().any(|e| e.contains("finite non-negative")),
-            "negative recovery time accepted: {errs:?}"
-        );
-
-        let nan = metrics::handle::MetricsHandle::enabled(1);
-        nan.series("soak.time_to_recover")
-            .record(simnet::time::SimTime::from_secs(0), f64::NAN);
-        assert!(
-            !errors_for(&nan.to_json()).is_empty(),
-            "non-finite recovery time accepted"
-        );
-    }
-
-    #[test]
-    fn enforces_the_solver_gauge_contract() {
-        let good = metrics::handle::MetricsHandle::enabled(1);
-        good.gauge("scale.n256.solver_full").set(3.0);
-        good.gauge("scale.n256.solver_incremental").set(120.0);
-        good.gauge("scale.n256.solver_class").set(41.0);
-        good.gauge("scale.n256.solver_resources_touched").set(950.0);
-        assert_eq!(errors_for(&good.to_json()), Vec::<String>::new());
-
-        let negative = metrics::handle::MetricsHandle::enabled(1);
-        negative.gauge("scale.n256.solver_class").set(-1.0);
-        let errs = errors_for(&negative.to_json());
-        assert!(
-            errs.iter().any(|e| e.contains("solver gauge")),
-            "negative solver gauge accepted: {errs:?}"
-        );
-
-        // Non-finite gauges dump as null — the solver contract must
-        // catch that too, while other gauges may stay null.
-        let nan = metrics::handle::MetricsHandle::enabled(1);
-        nan.gauge("scale.n64.solver_full").set(f64::NAN);
-        nan.gauge("other.gauge").set(f64::NAN);
-        let errs = errors_for(&nan.to_json());
-        assert_eq!(errs.len(), 1, "exactly the solver gauge flagged: {errs:?}");
-        assert!(errs[0].contains("solver_full"));
-    }
-
-    #[test]
-    fn enforces_the_snapshot_gauge_contract() {
-        let good = metrics::handle::MetricsHandle::enabled(1);
-        good.gauge("snapshot.bytes").set(28_307.0);
-        good.gauge("search.near_miss").set(2.0);
-        assert_eq!(errors_for(&good.to_json()), Vec::<String>::new());
-
-        let negative = metrics::handle::MetricsHandle::enabled(1);
-        negative.gauge("snapshot.bytes").set(-1.0);
-        let errs = errors_for(&negative.to_json());
-        assert!(
-            errs.iter().any(|e| e.contains("snapshot gauge")),
-            "negative snapshot.bytes accepted: {errs:?}"
-        );
-
-        // Non-finite values dump as null and must be flagged.
-        let nan = metrics::handle::MetricsHandle::enabled(1);
-        nan.gauge("search.near_miss").set(f64::NAN);
-        let errs = errors_for(&nan.to_json());
-        assert!(
-            errs.iter().any(|e| e.contains("search.near_miss")),
-            "NaN near-miss gauge accepted: {errs:?}"
-        );
-    }
-
-    #[test]
-    fn enforces_the_service_tier_contract() {
-        let good = metrics::handle::MetricsHandle::enabled(1);
-        good.gauge("service.cluster.fixed").set(1.54);
-        good.gauge("service.cluster.mobile").set(1.37);
-        good.gauge("service.cluster.distortion").set(0.17);
-        good.gauge("service.completed_frac").set(0.99);
-        good.gauge("service.shard0.announces").set(12_785.0);
-        good.gauge("service.shard0.peak_qps").set(277.7);
-        let s = good.series("service.shard0.qps");
-        s.record(simnet::time::SimTime::from_secs(10), 277.7);
-        s.record(simnet::time::SimTime::from_secs(20), 0.0);
-        assert_eq!(errors_for(&good.to_json()), Vec::<String>::new());
-
+        (
+            "soak recovery series",
+            "soak",
+            |h| {
+                let s = h.series("soak.time_to_recover");
+                s.record(SimTime::from_secs(0), 0.0);
+                s.record(SimTime::from_secs(1), 12.5);
+            },
+            &[],
+        ),
+        (
+            "negative recovery time",
+            "",
+            |h| {
+                h.series("soak.time_to_recover")
+                    .record(SimTime::from_secs(0), -3.0)
+            },
+            &["soak.time_to_recover"],
+        ),
+        (
+            "non-finite recovery time",
+            "",
+            |h| {
+                h.series("soak.time_to_recover")
+                    .record(SimTime::from_secs(0), f64::NAN)
+            },
+            &["soak.time_to_recover"],
+        ),
+        (
+            "solver gauges",
+            "scale",
+            |h| {
+                h.gauge("scale.n256.solver_full").set(3.0);
+                h.gauge("scale.n256.solver_incremental").set(120.0);
+                h.gauge("scale.n256.solver_class").set(41.0);
+                h.gauge("scale.n256.solver_resources_touched").set(950.0);
+            },
+            &[],
+        ),
+        (
+            "negative solver gauge",
+            "",
+            |h| h.gauge("scale.n256.solver_class").set(-1.0),
+            &["scale.n256.solver_class"],
+        ),
+        // Non-finite gauges dump as null — the contract must catch that
+        // too, while gauges outside it may stay null.
+        (
+            "NaN solver gauge, NaN bystander",
+            "",
+            |h| {
+                h.gauge("scale.n64.solver_full").set(f64::NAN);
+                h.gauge("other.gauge").set(f64::NAN);
+            },
+            &["scale.n64.solver_full"],
+        ),
+        (
+            "snapshot tooling gauges",
+            "snapshot",
+            |h| {
+                h.gauge("snapshot.bytes").set(28_307.0);
+                h.gauge("search.near_miss").set(2.0);
+            },
+            &[],
+        ),
+        (
+            "negative snapshot.bytes",
+            "",
+            |h| h.gauge("snapshot.bytes").set(-1.0),
+            &["snapshot.bytes"],
+        ),
+        (
+            "NaN near-miss gauge",
+            "",
+            |h| h.gauge("search.near_miss").set(f64::NAN),
+            &["search.near_miss"],
+        ),
+        (
+            "service tier",
+            "service",
+            |h| {
+                h.gauge("service.cluster.fixed").set(1.54);
+                h.gauge("service.cluster.mobile").set(1.37);
+                h.gauge("service.cluster.distortion").set(0.17);
+                h.gauge("service.completed_frac").set(0.99);
+                h.gauge("service.shard0.announces").set(12_785.0);
+                h.gauge("service.shard0.peak_qps").set(277.7);
+                let s = h.series("service.shard0.qps");
+                s.record(SimTime::from_secs(10), 277.7);
+                s.record(SimTime::from_secs(20), 0.0);
+            },
+            &[],
+        ),
         // The distortion gauge may be negative; the coefficients may not.
-        let distorted = metrics::handle::MetricsHandle::enabled(1);
-        distorted.gauge("service.cluster.distortion").set(-0.2);
-        assert_eq!(errors_for(&distorted.to_json()), Vec::<String>::new());
-
-        let negative = metrics::handle::MetricsHandle::enabled(1);
-        negative.gauge("service.cluster.fixed").set(-0.5);
-        let errs = errors_for(&negative.to_json());
-        assert!(
-            errs.iter().any(|e| e.contains("service gauge")),
-            "negative clustering coefficient accepted: {errs:?}"
-        );
-
-        // Non-finite shard load dumps as null and must be flagged.
-        let nan = metrics::handle::MetricsHandle::enabled(1);
-        nan.gauge("service.shard3.peak_qps").set(f64::NAN);
-        nan.series("service.shard3.qps")
-            .record(simnet::time::SimTime::from_secs(0), f64::NAN);
-        let errs = errors_for(&nan.to_json());
-        assert!(
-            errs.iter().any(|e| e.contains("service gauge")),
-            "NaN peak qps accepted: {errs:?}"
-        );
-        assert!(
-            errs.iter().any(|e| e.contains("shard qps")),
-            "NaN shard qps series accepted: {errs:?}"
-        );
-    }
-
-    #[test]
-    fn enforces_the_strategy_zoo_contract() {
-        let good = metrics::handle::MetricsHandle::enabled(1);
-        good.gauge("exploit.honest.bytes").set(32_400_000.0);
-        good.gauge("exploit.honest.credit").set(7_227_965.0);
-        good.gauge("exploit.churner.bytes").set(22_100_000.0);
-        good.gauge("exploit.churner.credit").set(0.0);
-        good.gauge("exploit.advantage").set(0.68);
-        good.gauge("erosion.fr0.default_bytes").set(15_100_000.0);
-        good.gauge("erosion.fr0.retention_bytes").set(22_300_000.0);
-        good.gauge("erosion.fr40.lead").set(500_000.0);
-        assert_eq!(errors_for(&good.to_json()), Vec::<String>::new());
-
+        (
+            "negative clustering distortion",
+            "",
+            |h| h.gauge("service.cluster.distortion").set(-0.2),
+            &[],
+        ),
+        (
+            "negative clustering coefficient",
+            "",
+            |h| h.gauge("service.cluster.fixed").set(-0.5),
+            &["service.cluster.fixed"],
+        ),
+        (
+            "NaN shard load, gauge and series",
+            "",
+            |h| {
+                h.gauge("service.shard3.peak_qps").set(f64::NAN);
+                h.series("service.shard3.qps")
+                    .record(SimTime::from_secs(0), f64::NAN);
+            },
+            &["service.shard3.peak_qps", "service.shard3.qps"],
+        ),
+        (
+            "exploit probe",
+            "exploit",
+            |h| {
+                h.gauge("exploit.honest.bytes").set(32_400_000.0);
+                h.gauge("exploit.honest.credit").set(7_227_965.0);
+                h.gauge("exploit.churner.bytes").set(22_100_000.0);
+                h.gauge("exploit.churner.credit").set(0.0);
+                h.gauge("exploit.advantage").set(0.68);
+            },
+            &[],
+        ),
         // The lead is retention minus default and may go negative.
-        let hostile = metrics::handle::MetricsHandle::enabled(1);
-        hostile.gauge("erosion.fr40.lead").set(-2_000_000.0);
-        assert_eq!(errors_for(&hostile.to_json()), Vec::<String>::new());
+        (
+            "erosion sweep, hostile lead",
+            "erosion",
+            |h| {
+                h.gauge("erosion.fr0.default_bytes").set(15_100_000.0);
+                h.gauge("erosion.fr0.retention_bytes").set(22_300_000.0);
+                h.gauge("erosion.fr0.lead").set(7_200_000.0);
+                h.gauge("erosion.fr40.lead").set(-2_000_000.0);
+            },
+            &[],
+        ),
+        (
+            "negative exploit credit",
+            "",
+            |h| h.gauge("exploit.churner.credit").set(-1.0),
+            &["exploit.churner.credit"],
+        ),
+        (
+            "NaN erosion bytes",
+            "",
+            |h| h.gauge("erosion.fr20.retention_bytes").set(f64::NAN),
+            &["erosion.fr20.retention_bytes"],
+        ),
+        (
+            "blackout ladder",
+            "blackout",
+            |h| {
+                h.gauge("blackout.dark_fixed.completed_frac").set(1.0);
+                h.gauge("blackout.dark_mobile.p50_s").set(212.0);
+                h.gauge("blackout.on_fixed.sheds").set(3.0);
+                h.gauge("blackout.on_mobile.breaker_trips").set(0.0);
+                h.gauge("blackout.degradation.fixed").set(1.42);
+                h.gauge("pex.dark_fixed.sent").set(310.0);
+                h.gauge("pex.dark_mobile.learned").set(14.0);
+            },
+            &[],
+        ),
+        (
+            "negative blackout percentile",
+            "",
+            |h| h.gauge("blackout.dark_fixed.p90_s").set(-1.0),
+            &["blackout.dark_fixed.p90_s"],
+        ),
+        // A gauge outside the four arms only gets the generic rule.
+        (
+            "NaN gossip counter, NaN off-arm bystander",
+            "",
+            |h| {
+                h.gauge("pex.on_fixed.received").set(f64::NAN);
+                h.gauge("pex.someday.received").set(f64::NAN);
+            },
+            &["pex.on_fixed.received"],
+        ),
+    ];
 
-        let negative = metrics::handle::MetricsHandle::enabled(1);
-        negative.gauge("exploit.churner.credit").set(-1.0);
-        let errs = errors_for(&negative.to_json());
-        assert!(
-            errs.iter().any(|e| e.contains("exploit gauge")),
-            "negative exploit credit accepted: {errs:?}"
-        );
-
-        // Non-finite probe bytes dump as null and must be flagged.
-        let nan = metrics::handle::MetricsHandle::enabled(1);
-        nan.gauge("erosion.fr20.retention_bytes").set(f64::NAN);
-        let errs = errors_for(&nan.to_json());
-        assert!(
-            errs.iter().any(|e| e.contains("erosion gauge")),
-            "NaN erosion bytes accepted: {errs:?}"
-        );
+    #[test]
+    fn enforces_the_contract_table() {
+        for &(what, stem, build, flagged) in CASES {
+            let handle = MetricsHandle::enabled(1);
+            build(&handle);
+            let errs = errors_for(&handle.to_json(), stem);
+            assert_eq!(errs.len(), flagged.len(), "{what}: {errs:?}");
+            for name in flagged {
+                assert!(
+                    errs.iter().any(|e| {
+                        e.contains(&format!("\"{name}\"")) && e.contains("finite non-negative")
+                    }),
+                    "{what}: {name} not flagged in {errs:?}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn enforces_the_blackout_contract() {
-        let good = metrics::handle::MetricsHandle::enabled(1);
-        good.gauge("blackout.dark_fixed.completed_frac").set(1.0);
-        good.gauge("blackout.dark_mobile.p50_s").set(212.0);
-        good.gauge("blackout.on_fixed.sheds").set(3.0);
-        good.gauge("blackout.on_mobile.breaker_trips").set(0.0);
-        good.gauge("blackout.degradation.fixed").set(1.42);
-        good.gauge("pex.dark_fixed.sent").set(310.0);
-        good.gauge("pex.dark_mobile.learned").set(14.0);
-        assert_eq!(errors_for(&good.to_json()), Vec::<String>::new());
+    fn required_rows_are_keyed_on_the_dump_stem() {
+        let empty = MetricsHandle::enabled(1).to_json();
+        let required: Vec<_> = CONTRACT.iter().filter(|(_, _, s)| !s.is_empty()).collect();
+        assert_eq!(required.len(), 10);
+        for &&(_, pat, stem) in &required {
+            let errs = errors_for(&empty, stem);
+            assert!(
+                errs.iter().any(|e| e.contains(&format!("\"{pat}\""))),
+                "an empty {stem} dump must be missing {pat}: {errs:?}"
+            );
+            // The same emptiness is fine under any other name.
+            assert_eq!(errors_for(&empty, "fig2a"), Vec::<String>::new());
+        }
+    }
 
-        let negative = metrics::handle::MetricsHandle::enabled(1);
-        negative.gauge("blackout.dark_fixed.p90_s").set(-1.0);
-        let errs = errors_for(&negative.to_json());
-        assert!(
-            errs.iter().any(|e| e.contains("blackout gauge")),
-            "negative blackout percentile accepted: {errs:?}"
-        );
+    /// The schema file spells each contract pattern as a regular
+    /// expression; this is the mechanical translation.
+    fn schema_key(pat: &str) -> String {
+        let body = pat
+            .trim_start_matches('*')
+            .replace('.', "\\.")
+            .replace("<digits>", "[0-9]+")
+            .replace('{', "(")
+            .replace('}', ")")
+            .replace(',', "|");
+        let anchor = if pat.starts_with('*') { "" } else { "^" };
+        format!("{anchor}{body}$")
+    }
 
-        // Non-finite gossip counters dump as null and must be flagged;
-        // a gauge outside the four arms only gets the generic rule.
-        let nan = metrics::handle::MetricsHandle::enabled(1);
-        nan.gauge("pex.on_fixed.received").set(f64::NAN);
-        nan.gauge("pex.someday.received").set(f64::NAN);
-        let errs = errors_for(&nan.to_json());
-        assert_eq!(errs.len(), 1, "exactly the arm gauge flagged: {errs:?}");
-        assert!(errs[0].contains("pex.on_fixed.received"));
+    #[test]
+    fn every_contract_row_has_a_schema_key() {
+        let schema = Json::parse(include_str!("../../../../schemas/metrics.schema.json"))
+            .expect("schema file is valid JSON");
+        for &(kind, pat, _) in CONTRACT {
+            let section = if kind == Kind::Series {
+                "series"
+            } else {
+                "gauges"
+            };
+            let node = schema
+                .get("properties")
+                .and_then(|p| p.get(section))
+                .expect("schema section");
+            let has = |table: &str, key: &str| {
+                node.get(table)
+                    .and_then(Json::as_obj)
+                    .is_some_and(|m| m.contains_key(key))
+            };
+            assert!(
+                has("patternProperties", &schema_key(pat)) || has("properties", pat),
+                "schemas/metrics.schema.json has no {section} key for {pat:?} \
+                 (wanted patternProperties {:?})",
+                schema_key(pat)
+            );
+        }
     }
 
     #[test]
     fn rejects_shape_violations() {
-        let base = metrics::handle::MetricsHandle::enabled(0).to_json();
-        assert!(errors_for(&base).is_empty());
-        assert!(!errors_for("{}").is_empty(), "missing keys");
+        let base = MetricsHandle::enabled(0).to_json();
+        assert!(errors_for(&base, "any").is_empty());
+        assert!(!errors_for("{}", "any").is_empty(), "missing keys");
         let bad = base.replace("\"seed\":0", "\"seed\":-1.5");
-        assert!(!errors_for(&bad).is_empty(), "bad seed");
+        assert!(!errors_for(&bad, "any").is_empty(), "bad seed");
     }
 }

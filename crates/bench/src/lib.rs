@@ -1,61 +1,27 @@
-//! # wp2p-bench — figure regeneration and micro-benchmarks
+//! # wp2p-bench — the experiment CLI and its helpers
 //!
-//! Each `fig*` binary regenerates one figure of the paper: it runs the
-//! matching experiment driver from `p2p-simulation::experiments` and
-//! prints the same rows/series the paper plots. By default the binaries
-//! run a CI-sized `quick` preset; pass `--paper` for the full-scale
-//! parameters (slow).
+//! Three binaries:
 //!
-//! The Criterion benches (in `benches/`) measure the hot substrate paths:
-//! bencode, SHA-1, the event queue, piece pickers, the choker, TCP
-//! reassembly, and max-min rate allocation.
+//! * `all_figures` — the one experiment CLI. It runs entries of
+//!   `p2p_simulation::experiments::registry` (every paper figure, the
+//!   engineering experiments, the snapshot/fault diagnostics and the
+//!   ablations) and prints the same rows/series the paper plots:
+//!   `--only <name>` filters by name, `--paper` selects the full-scale
+//!   parameters (slow; the default is a CI-sized `quick` preset),
+//!   `--seed <u64>` overrides the canonical seed, and
+//!   `--metrics-out <dir>` wires each run into a live [`MetricsHandle`]
+//!   whose deterministic dumps land in the directory as
+//!   `<name>.metrics.json` / `<name>.series.csv`.
+//! * `validate_metrics` — checks such dumps against the contract in
+//!   `schemas/metrics.schema.json`.
+//! * `scale_sweep SIZE [SEED]` — times one scale cell (CI's 16k-peer
+//!   wall budget).
 //!
-//! Every figure binary (and `all_figures`) also accepts
-//! `--metrics-out <dir>`: the run's probe world is wired into a live
-//! [`MetricsHandle`] and its deterministic JSON/CSV dumps land in the
-//! directory as `<figure>.metrics.json` / `<figure>.series.csv`.
+//! Performance is measured by the repo benchmark in `benchmark/`, not
+//! here.
 
 use metrics::handle::MetricsHandle;
-use std::path::{Path, PathBuf};
-
-/// Which parameter preset a figure binary should run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Preset {
-    /// CI-sized: seconds of wall clock.
-    Quick,
-    /// The paper's scale: minutes of wall clock.
-    Paper,
-}
-
-/// Parses the preset from the process arguments (`--paper` selects
-/// [`Preset::Paper`]; anything else, or nothing, selects `Quick`).
-pub fn preset_from_args() -> Preset {
-    if std::env::args().any(|a| a == "--paper") {
-        Preset::Paper
-    } else {
-        Preset::Quick
-    }
-}
-
-/// Prints the standard preamble for a figure binary.
-pub fn preamble(figure: &str, preset: Preset) {
-    println!(
-        "# {figure} — preset: {} (pass --paper for full scale)",
-        match preset {
-            Preset::Quick => "quick",
-            Preset::Paper => "paper",
-        }
-    );
-}
-
-/// Parses `--metrics-out <dir>` from the process arguments.
-pub fn metrics_out_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--metrics-out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
+use std::path::Path;
 
 /// The handle a figure run should use: live (recording under `seed`)
 /// when a `--metrics-out` directory was requested, inert otherwise.

@@ -1,34 +1,23 @@
-//! Generic, cancellable event queue with two interchangeable schedulers.
+//! Generic, cancellable event queue backed by a hierarchical timer wheel.
 //!
-//! Both implementations order events by `(time, sequence)`. The sequence
-//! number is a monotone counter assigned at scheduling time, so two events
-//! scheduled for the same instant fire in scheduling order — the property
-//! that makes whole-simulation runs deterministic, and the contract the
-//! differential tests below pin between the two schedulers.
+//! Events are ordered by `(time, sequence)`. The sequence number is a
+//! monotone counter assigned at scheduling time, so two events scheduled
+//! for the same instant fire in scheduling order — the property that
+//! makes whole-simulation runs deterministic.
 //!
-//! * [`Scheduler::Heap`] — the original binary heap. Cancellation is
-//!   *validated* against a live-token set and then recorded as a tombstone
-//!   that is discarded when it reaches the top of the heap: `O(log n)`
-//!   schedule/pop, `O(1)` cancel, but tombstones occupy heap slots until
-//!   they surface.
-//! * [`Scheduler::Wheel`] — a hierarchical timer wheel over slab storage:
-//!   `O(1)` schedule, `O(1)` *eager* cancellation (the entry is unlinked
-//!   immediately; no tombstone outlives the operation), and amortised
-//!   `O(1)` pop via cascading. Six levels of 64 slots cover ~19 virtual
-//!   hours at 1 µs resolution; farther timers wait in an overflow list.
+//! The wheel sits over slab storage: `O(1)` schedule, `O(1)` *eager*
+//! cancellation (the entry is unlinked immediately; no tombstone
+//! outlives the operation), and amortised `O(1)` pop via cascading. Six
+//! levels of 64 slots cover ~19 virtual hours at 1 µs resolution;
+//! farther timers wait in an overflow list.
 //!
 //! Tokens are generation-checked: cancelling an already-fired or
-//! already-cancelled token is detected exactly (a counted no-op), fixing
-//! the historical accounting bug where such tombstones pinned memory and
-//! made `len()` under-report until the heap fully drained.
+//! already-cancelled token is detected exactly (a counted no-op).
 //!
-//! The scheduler is chosen per queue: [`EventQueue::new`] consults the
-//! `WP2P_SCHEDULER` env var (`heap` or `wheel`, default wheel) on every
-//! call, and [`EventQueue::with_scheduler`] picks explicitly (used by
-//! tests and the scale sweep, which compare both under one process).
+//! The binary heap the wheel replaced survives only as the `#[cfg(test)]`
+//! reference the differential tests below compare pop order against.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
@@ -36,32 +25,10 @@ use crate::time::SimTime;
 ///
 /// Tokens are unique over the life of a queue: once the event fires or is
 /// cancelled, the token is dead and later [`EventQueue::cancel`] calls
-/// with it are detected no-ops (the wheel checks a slab generation, the
-/// heap a live-token set).
+/// with it are detected no-ops (the token embeds the slab generation it
+/// was minted with).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct EventToken(u64);
-
-/// Which event-queue implementation backs a queue.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Scheduler {
-    /// Binary heap with validated lazy tombstones.
-    Heap,
-    /// Hierarchical timer wheel with eager cancellation.
-    Wheel,
-}
-
-impl Scheduler {
-    /// Reads `WP2P_SCHEDULER` (`heap` | `wheel`); defaults to the wheel.
-    ///
-    /// Read on every call (not cached) so a single process can compare
-    /// both schedulers back to back, as `scale_sweep` does.
-    pub fn from_env() -> Scheduler {
-        match std::env::var("WP2P_SCHEDULER") {
-            Ok(v) if v.eq_ignore_ascii_case("heap") => Scheduler::Heap,
-            _ => Scheduler::Wheel,
-        }
-    }
-}
 
 /// Point-in-time counters for queue instrumentation (depth gauges and
 /// cancellation rates in the scale experiment).
@@ -77,107 +44,6 @@ pub struct QueueStats {
     pub cancelled: u64,
     /// Cancellations of already-fired/already-cancelled tokens (no-ops).
     pub cancel_noops: u64,
-}
-
-// ---------------------------------------------------------------------------
-// Heap implementation
-// ---------------------------------------------------------------------------
-
-struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want the earliest event
-        // (breaking ties by scheduling order) on top.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The original scheduler: heap + validated tombstones. A token is the
-/// event's sequence number; `pending` holds exactly the live ones, so
-/// `cancel` can reject dead tokens instead of leaking a tombstone.
-struct HeapQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    pending: HashSet<u64>,
-    cancelled: HashSet<u64>,
-    next_seq: u64,
-}
-
-impl<E> HeapQueue<E> {
-    fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            pending: HashSet::new(),
-            cancelled: HashSet::new(),
-            next_seq: 0,
-        }
-    }
-
-    fn schedule_at(&mut self, time: SimTime, event: E) -> EventToken {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.insert(seq);
-        self.heap.push(Scheduled { time, seq, event });
-        EventToken(seq)
-    }
-
-    fn cancel(&mut self, token: EventToken) -> bool {
-        // Only a live token becomes a tombstone; a dead one is a no-op, so
-        // tombstones can never outnumber (or outlive) heap entries.
-        if self.pending.remove(&token.0) {
-            self.cancelled.insert(token.0);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(s) = self.heap.pop() {
-            if self.cancelled.remove(&s.seq) {
-                continue;
-            }
-            self.pending.remove(&s.seq);
-            return Some((s.time, s.event));
-        }
-        debug_assert!(self.cancelled.is_empty() && self.pending.is_empty());
-        None
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop tombstoned heads so the reported time is a live event's.
-        while let Some(s) = self.heap.peek() {
-            if self.cancelled.contains(&s.seq) {
-                let s = self.heap.pop().expect("peeked entry exists");
-                self.cancelled.remove(&s.seq);
-                continue;
-            }
-            return Some(s.time);
-        }
-        None
-    }
-
-    fn len(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -557,15 +423,6 @@ impl<E> WheelQueue<E> {
 // Facade
 // ---------------------------------------------------------------------------
 
-// One queue per simulation, so the size gap between the inline wheel
-// (fixed slot heads + bitmaps) and the heap variant costs nothing;
-// boxing the wheel would put a deref on every hot-path operation.
-#[allow(clippy::large_enum_variant)]
-enum Imp<E> {
-    Heap(HeapQueue<E>),
-    Wheel(WheelQueue<E>),
-}
-
 /// A priority queue of timestamped events.
 ///
 /// ```
@@ -580,7 +437,7 @@ enum Imp<E> {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    imp: Imp<E>,
+    wheel: WheelQueue<E>,
     live: usize,
     max_live: usize,
     scheduled_total: u64,
@@ -595,18 +452,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with the scheduler from [`Scheduler::from_env`].
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_scheduler(Scheduler::from_env())
-    }
-
-    /// Creates an empty queue backed by an explicit scheduler.
-    pub fn with_scheduler(scheduler: Scheduler) -> Self {
         EventQueue {
-            imp: match scheduler {
-                Scheduler::Heap => Imp::Heap(HeapQueue::new()),
-                Scheduler::Wheel => Imp::Wheel(WheelQueue::new()),
-            },
+            wheel: WheelQueue::new(),
             live: 0,
             max_live: 0,
             scheduled_total: 0,
@@ -615,23 +464,12 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Which implementation backs this queue.
-    pub fn scheduler(&self) -> Scheduler {
-        match self.imp {
-            Imp::Heap(_) => Scheduler::Heap,
-            Imp::Wheel(_) => Scheduler::Wheel,
-        }
-    }
-
     /// Schedules `event` to fire at `time` and returns a cancellation token.
     pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventToken {
         self.scheduled_total += 1;
         self.live += 1;
         self.max_live = self.max_live.max(self.live);
-        match &mut self.imp {
-            Imp::Heap(q) => q.schedule_at(time, event),
-            Imp::Wheel(q) => q.schedule_at(time, event),
-        }
+        self.wheel.schedule_at(time, event)
     }
 
     /// Cancels a previously scheduled event; returns whether a live event
@@ -639,10 +477,7 @@ impl<E> EventQueue<E> {
     /// token is a no-op (`false`), detected via the token's generation —
     /// it leaves no residue in the queue.
     pub fn cancel(&mut self, token: EventToken) -> bool {
-        let hit = match &mut self.imp {
-            Imp::Heap(q) => q.cancel(token),
-            Imp::Wheel(q) => q.cancel(token),
-        };
+        let hit = self.wheel.cancel(token);
         if hit {
             self.cancelled_total += 1;
             self.live -= 1;
@@ -654,10 +489,7 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest live event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let out = match &mut self.imp {
-            Imp::Heap(q) => q.pop(),
-            Imp::Wheel(q) => q.pop(),
-        };
+        let out = self.wheel.pop();
         if out.is_some() {
             self.live -= 1;
         }
@@ -666,18 +498,11 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the earliest live event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.imp {
-            Imp::Heap(q) => q.peek_time(),
-            Imp::Wheel(q) => q.peek_time(),
-        }
+        self.wheel.peek_time()
     }
 
     /// Number of live (scheduled, not yet fired or cancelled) events.
     pub fn len(&self) -> usize {
-        debug_assert!(match &self.imp {
-            Imp::Heap(q) => q.len() == self.live,
-            Imp::Wheel(_) => true,
-        });
         self.live
     }
 
@@ -708,7 +533,6 @@ impl<E> EventQueue<E> {
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("scheduler", &self.scheduler())
             .field("live", &self.live)
             .field("scheduled", &self.scheduled_total)
             .field("cancelled", &self.cancelled_total)
@@ -720,125 +544,204 @@ impl<E> std::fmt::Debug for EventQueue<E> {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+    use std::cmp::Ordering;
+    use std::collections::{BinaryHeap, HashSet};
 
-    fn both(test: impl Fn(Scheduler)) {
-        test(Scheduler::Heap);
-        test(Scheduler::Wheel);
+    struct Scheduled<E> {
+        time: SimTime,
+        seq: u64,
+        event: E,
+    }
+
+    impl<E> PartialEq for Scheduled<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.time == other.time && self.seq == other.seq
+        }
+    }
+    impl<E> Eq for Scheduled<E> {}
+    impl<E> PartialOrd for Scheduled<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<E> Ord for Scheduled<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reversed: BinaryHeap is a max-heap and we want the earliest event
+            // (breaking ties by scheduling order) on top.
+            other
+                .time
+                .cmp(&self.time)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    /// The reference scheduler the wheel is checked against: binary heap +
+    /// validated tombstones. A token is the event's sequence number;
+    /// `pending` holds exactly the live ones, so `cancel` can reject dead
+    /// tokens instead of leaking a tombstone.
+    struct HeapQueue<E> {
+        heap: BinaryHeap<Scheduled<E>>,
+        pending: HashSet<u64>,
+        cancelled: HashSet<u64>,
+        next_seq: u64,
+    }
+
+    impl<E> HeapQueue<E> {
+        fn new() -> Self {
+            HeapQueue {
+                heap: BinaryHeap::new(),
+                pending: HashSet::new(),
+                cancelled: HashSet::new(),
+                next_seq: 0,
+            }
+        }
+
+        fn schedule_at(&mut self, time: SimTime, event: E) -> EventToken {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.pending.insert(seq);
+            self.heap.push(Scheduled { time, seq, event });
+            EventToken(seq)
+        }
+
+        fn cancel(&mut self, token: EventToken) -> bool {
+            // Only a live token becomes a tombstone; a dead one is a no-op, so
+            // tombstones can never outnumber (or outlive) heap entries.
+            if self.pending.remove(&token.0) {
+                self.cancelled.insert(token.0);
+                true
+            } else {
+                false
+            }
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, E)> {
+            while let Some(s) = self.heap.pop() {
+                if self.cancelled.remove(&s.seq) {
+                    continue;
+                }
+                self.pending.remove(&s.seq);
+                return Some((s.time, s.event));
+            }
+            debug_assert!(self.cancelled.is_empty() && self.pending.is_empty());
+            None
+        }
+
+        fn peek_time(&mut self) -> Option<SimTime> {
+            // Drop tombstoned heads so the reported time is a live event's.
+            while let Some(s) = self.heap.peek() {
+                if self.cancelled.contains(&s.seq) {
+                    let s = self.heap.pop().expect("peeked entry exists");
+                    self.cancelled.remove(&s.seq);
+                    continue;
+                }
+                return Some(s.time);
+            }
+            None
+        }
+
+        fn len(&self) -> usize {
+            self.pending.len()
+        }
     }
 
     #[test]
     fn pops_in_time_order() {
-        both(|s| {
-            let mut q = EventQueue::with_scheduler(s);
-            q.schedule_at(SimTime::from_secs(3), 3);
-            q.schedule_at(SimTime::from_secs(1), 1);
-            q.schedule_at(SimTime::from_secs(2), 2);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        });
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_secs(3), 3);
+        q.schedule_at(SimTime::from_secs(1), 1);
+        q.schedule_at(SimTime::from_secs(2), 2);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_break_by_scheduling_order() {
-        both(|s| {
-            let mut q = EventQueue::with_scheduler(s);
-            let t = SimTime::from_secs(1);
-            for i in 0..10 {
-                q.schedule_at(t, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..10).collect::<Vec<_>>());
-        });
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        for i in 0..10 {
+            q.schedule_at(t, i);
+        }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn cancellation_skips_events() {
-        both(|s| {
-            let mut q = EventQueue::with_scheduler(s);
-            let a = q.schedule_at(SimTime::from_secs(1), "a");
-            q.schedule_at(SimTime::from_secs(2), "b");
-            assert!(q.cancel(a));
-            assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
-        });
+        let mut q = EventQueue::new();
+        let a = q.schedule_at(SimTime::from_secs(1), "a");
+        q.schedule_at(SimTime::from_secs(2), "b");
+        assert!(q.cancel(a));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
     }
 
     #[test]
     fn cancel_after_fire_is_validated_noop() {
-        both(|s| {
-            let mut q = EventQueue::with_scheduler(s);
-            let a = q.schedule_at(SimTime::from_secs(1), "a");
-            assert!(q.pop().is_some());
-            // Regression: this used to plant a tombstone that made len()
-            // under-report until the heap drained.
-            assert!(!q.cancel(a));
-            assert_eq!(q.len(), 0);
-            assert!(q.is_empty());
-            q.schedule_at(SimTime::from_secs(2), "b");
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
-            assert_eq!(q.stats().cancel_noops, 1);
-            assert_eq!(q.stats().cancelled, 0);
-        });
+        let mut q = EventQueue::new();
+        let a = q.schedule_at(SimTime::from_secs(1), "a");
+        assert!(q.pop().is_some());
+        // Regression: this used to plant a tombstone that made len()
+        // under-report until the queue drained.
+        assert!(!q.cancel(a));
+        assert_eq!(q.len(), 0);
+        assert!(q.is_empty());
+        q.schedule_at(SimTime::from_secs(2), "b");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
+        assert_eq!(q.stats().cancel_noops, 1);
+        assert_eq!(q.stats().cancelled, 0);
     }
 
     #[test]
     fn double_cancel_is_noop() {
-        both(|s| {
-            let mut q = EventQueue::with_scheduler(s);
-            let a = q.schedule_at(SimTime::from_secs(1), "a");
-            assert!(q.cancel(a));
-            assert!(!q.cancel(a));
-            assert!(q.is_empty());
-            assert_eq!(q.len(), 0);
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = EventQueue::new();
+        let a = q.schedule_at(SimTime::from_secs(1), "a");
+        assert!(q.cancel(a));
+        assert!(!q.cancel(a));
+        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn peek_time_skips_tombstones() {
-        both(|s| {
-            let mut q = EventQueue::with_scheduler(s);
-            let a = q.schedule_at(SimTime::from_secs(1), "a");
-            q.schedule_at(SimTime::from_secs(5), "b");
-            q.cancel(a);
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
-            assert_eq!(q.len(), 1);
-        });
+        let mut q = EventQueue::new();
+        let a = q.schedule_at(SimTime::from_secs(1), "a");
+        q.schedule_at(SimTime::from_secs(5), "b");
+        q.cancel(a);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn empty_queue_behaviour() {
-        both(|s| {
-            let mut q: EventQueue<()> = EventQueue::with_scheduler(s);
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
-            assert_eq!(q.peek_time(), None);
-        });
+        let mut q: EventQueue<()> = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn len_and_is_empty_agree_under_interleaving() {
         // Satellite regression: interleaved peek/cancel used to leave
-        // len() and is_empty() inconsistent on the heap.
-        both(|s| {
-            let mut q = EventQueue::with_scheduler(s);
-            let a = q.schedule_at(SimTime::from_secs(1), 1);
-            let b = q.schedule_at(SimTime::from_secs(2), 2);
-            q.cancel(a);
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-            q.cancel(b);
-            assert!(!q.cancel(a));
-            assert_eq!(q.len(), 0);
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-        });
+        // len() and is_empty() inconsistent.
+        let mut q = EventQueue::new();
+        let a = q.schedule_at(SimTime::from_secs(1), 1);
+        let b = q.schedule_at(SimTime::from_secs(2), 2);
+        q.cancel(a);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+        q.cancel(b);
+        assert!(!q.cancel(a));
+        assert_eq!(q.len(), 0);
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn wheel_far_future_overflow_cascades() {
         // Beyond the 6-level horizon (~19 h) events park in overflow and
         // still pop in global order.
-        let mut q = EventQueue::with_scheduler(Scheduler::Wheel);
+        let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(60 * 60 * 50), "far");
         q.schedule_at(SimTime::from_secs(1), "near");
         q.schedule_at(SimTime::from_secs(60 * 60 * 30), "mid");
@@ -850,7 +753,7 @@ mod tests {
 
     #[test]
     fn wheel_token_generations_survive_slot_reuse() {
-        let mut q = EventQueue::with_scheduler(Scheduler::Wheel);
+        let mut q = EventQueue::new();
         let a = q.schedule_at(SimTime::from_secs(1), "a");
         assert!(q.cancel(a));
         // The freed slab slot is reused for b; a's stale token must not
@@ -865,30 +768,37 @@ mod tests {
     #[test]
     fn schedule_at_pop_frontier_matches_heap() {
         // After popping at t, scheduling again at t must fire before
-        // later events but after the pop — on both schedulers.
-        both(|s| {
-            let mut q = EventQueue::with_scheduler(s);
-            q.schedule_at(SimTime::from_secs(1), 0);
-            q.schedule_at(SimTime::from_secs(2), 9);
-            assert_eq!(q.pop(), Some((SimTime::from_secs(1), 0)));
-            q.schedule_at(SimTime::from_secs(1), 1);
-            q.schedule_at(SimTime::from_secs(1), 2);
-            assert_eq!(q.pop(), Some((SimTime::from_secs(1), 1)));
-            assert_eq!(q.pop(), Some((SimTime::from_secs(1), 2)));
-            assert_eq!(q.pop(), Some((SimTime::from_secs(2), 9)));
-        });
+        // later events but after the pop — exactly as the heap orders it.
+        let mut heap = HeapQueue::new();
+        let mut wheel = EventQueue::new();
+        for (secs, e) in [(1, 0), (2, 9)] {
+            heap.schedule_at(SimTime::from_secs(secs), e);
+            wheel.schedule_at(SimTime::from_secs(secs), e);
+        }
+        assert_eq!(wheel.pop(), Some((SimTime::from_secs(1), 0)));
+        assert_eq!(heap.pop(), Some((SimTime::from_secs(1), 0)));
+        for e in [1, 2] {
+            heap.schedule_at(SimTime::from_secs(1), e);
+            wheel.schedule_at(SimTime::from_secs(1), e);
+        }
+        let want = [(1, 1), (1, 2), (2, 9)].map(|(secs, e)| Some((SimTime::from_secs(secs), e)));
+        for w in want {
+            assert_eq!(wheel.pop(), w);
+            assert_eq!(heap.pop(), w);
+        }
     }
 
-    /// Drives a heap and a wheel through the same seeded op sequence and
-    /// asserts identical observable traces — the differential guarantee
-    /// that lets the wheel replace the heap without perturbing a single
-    /// run. Also asserts `len() == 0 ⇔ is_empty()` at every step.
+    /// Drives the reference heap and the wheel through the same seeded
+    /// op sequence and asserts identical observable traces — the
+    /// differential guarantee that let the wheel replace the heap
+    /// without perturbing a single run. Also asserts
+    /// `len() == 0 ⇔ is_empty()` at every step.
     #[test]
     fn differential_heap_vs_wheel_10k_ops() {
         for seed in [1u64, 0xD1FF, 0xBADC0FFEE] {
             let mut rng = SimRng::new(seed);
-            let mut heap: EventQueue<u64> = EventQueue::with_scheduler(Scheduler::Heap);
-            let mut wheel: EventQueue<u64> = EventQueue::with_scheduler(Scheduler::Wheel);
+            let mut heap: HeapQueue<u64> = HeapQueue::new();
+            let mut wheel: EventQueue<u64> = EventQueue::new();
             // i-th live token per queue (same index = same logical event).
             let mut live_h: Vec<EventToken> = Vec::new();
             let mut live_w: Vec<EventToken> = Vec::new();
@@ -939,10 +849,8 @@ mod tests {
                     }
                 }
                 assert_eq!(heap.len(), wheel.len());
-                assert_eq!(heap.is_empty(), wheel.is_empty());
                 #[allow(clippy::len_zero)] // the property under test IS len()==0 <=> is_empty()
                 {
-                    assert_eq!(heap.is_empty(), heap.len() == 0);
                     assert_eq!(wheel.is_empty(), wheel.len() == 0);
                 }
             }
@@ -954,8 +862,6 @@ mod tests {
                     break;
                 }
             }
-            assert_eq!(heap.stats().cancelled, wheel.stats().cancelled);
-            assert_eq!(heap.stats().scheduled, wheel.stats().scheduled);
         }
     }
 }
@@ -1001,44 +907,6 @@ impl Snap for Loc {
             4 => Loc::Dead,
             b => panic!("invalid Loc tag {b}"),
         }
-    }
-}
-
-impl<E: Snap> Snap for HeapQueue<E> {
-    /// The heap is stored in *canonical* form: live entries sorted by
-    /// `(time, seq)`, tombstones dropped. Tombstoned entries are
-    /// unobservable (pop and peek skip them, `len()` counts `pending`),
-    /// so a straight-through run and a restored run — whose in-memory
-    /// tombstone sets legitimately differ — serialize identically.
-    /// Tokens are bare sequence numbers validated against `pending`, so
-    /// dropped tombstones still cancel as detected no-ops.
-    fn snap(&self, w: &mut SnapWriter) {
-        let mut live: Vec<&Scheduled<E>> = self
-            .heap
-            .iter()
-            .filter(|s| !self.cancelled.contains(&s.seq))
-            .collect();
-        live.sort_by_key(|s| (s.time, s.seq));
-        w.put_usize(live.len());
-        for s in live {
-            s.time.snap(w);
-            w.put_u64(s.seq);
-            s.event.snap(w);
-        }
-        w.put_u64(self.next_seq);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        let n = r.get_usize();
-        let mut q = HeapQueue::new();
-        for _ in 0..n {
-            let time = SimTime::unsnap(r);
-            let seq = r.get_u64();
-            let event = E::unsnap(r);
-            q.pending.insert(seq);
-            q.heap.push(Scheduled { time, seq, event });
-        }
-        q.next_seq = r.get_u64();
-        q
     }
 }
 
@@ -1107,19 +975,16 @@ impl<E: Snap> Snap for WheelQueue<E> {
     }
 }
 
+/// Tag byte ahead of the wheel blob. Blobs written when a second
+/// scheduler existed carried `0` for the heap; the byte stays so blob
+/// sizes do not shift, and anything but the wheel's tag is rejected.
+const WHEEL_TAG: u8 = 1;
+
 impl<E: Snap> Snap for EventQueue<E> {
     fn snap(&self, w: &mut SnapWriter) {
         w.section("event_queue");
-        match &self.imp {
-            Imp::Heap(q) => {
-                w.put_u8(0);
-                q.snap(w);
-            }
-            Imp::Wheel(q) => {
-                w.put_u8(1);
-                q.snap(w);
-            }
-        }
+        w.put_u8(WHEEL_TAG);
+        self.wheel.snap(w);
         w.put_usize(self.live);
         w.put_usize(self.max_live);
         w.put_u64(self.scheduled_total);
@@ -1128,13 +993,10 @@ impl<E: Snap> Snap for EventQueue<E> {
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Self {
         r.section("event_queue");
-        let imp = match r.get_u8() {
-            0 => Imp::Heap(HeapQueue::unsnap(r)),
-            1 => Imp::Wheel(WheelQueue::unsnap(r)),
-            b => panic!("invalid scheduler tag {b}"),
-        };
+        let tag = r.get_u8();
+        assert!(tag == WHEEL_TAG, "invalid scheduler tag {tag}");
         EventQueue {
-            imp,
+            wheel: WheelQueue::unsnap(r),
             live: r.get_usize(),
             max_live: r.get_usize(),
             scheduled_total: r.get_u64(),
@@ -1164,57 +1026,68 @@ mod snap_tests {
         q
     }
 
-    /// Seeded soak on both schedulers: at a random point, snapshot the
-    /// queue, restore it, and check that the restored queue pops, peeks,
-    /// cancels, and re-serializes identically to the original —
-    /// including outstanding tokens taken before the snapshot.
+    /// Seeded soak: at a random point, snapshot the queue, restore it,
+    /// and check that the restored queue pops, peeks, cancels, and
+    /// re-serializes identically to the original — including outstanding
+    /// tokens taken before the snapshot.
     #[test]
     fn queue_round_trip_preserves_order_tokens_and_stats() {
-        for scheduler in [Scheduler::Heap, Scheduler::Wheel] {
-            let mut rng = SimRng::new(0x5EED);
-            let mut q: EventQueue<u64> = EventQueue::with_scheduler(scheduler);
-            let mut tokens = Vec::new();
-            let mut frontier = SimTime::ZERO;
-            for op in 0..2_000u64 {
-                match rng.range(0..10u32) {
-                    0..=5 => {
-                        let t = frontier + SimDuration::from_micros(rng.range(0..3_000_000u64));
-                        tokens.push(q.schedule_at(t, op));
-                    }
-                    6..=7 => {
-                        if let Some((t, _)) = q.pop() {
-                            frontier = t;
-                        }
-                    }
-                    _ => {
-                        if !tokens.is_empty() {
-                            let i = rng.range(0..tokens.len() as u64) as usize;
-                            q.cancel(tokens.swap_remove(i));
-                        }
+        let mut rng = SimRng::new(0x5EED);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut tokens = Vec::new();
+        let mut frontier = SimTime::ZERO;
+        for op in 0..2_000u64 {
+            match rng.range(0..10u32) {
+                0..=5 => {
+                    let t = frontier + SimDuration::from_micros(rng.range(0..3_000_000u64));
+                    tokens.push(q.schedule_at(t, op));
+                }
+                6..=7 => {
+                    if let Some((t, _)) = q.pop() {
+                        frontier = t;
                     }
                 }
-            }
-            let blob = save(&q);
-            let mut back: EventQueue<u64> = load(&blob);
-            assert_eq!(back.stats(), q.stats());
-            assert_eq!(back.scheduler(), q.scheduler());
-            // Saving the restored queue reproduces the blob bit-for-bit.
-            assert_eq!(save(&back), blob, "{scheduler:?} blob not stable");
-            // Outstanding tokens cancel identically on both queues.
-            for (i, &tok) in tokens.iter().enumerate() {
-                if i % 3 == 0 {
-                    assert_eq!(q.cancel(tok), back.cancel(tok), "{scheduler:?} token {i}");
-                }
-            }
-            // Remaining drain order matches exactly.
-            loop {
-                let (a, b) = (q.pop(), back.pop());
-                assert_eq!(a, b, "{scheduler:?} drain diverged");
-                if a.is_none() {
-                    break;
+                _ => {
+                    if !tokens.is_empty() {
+                        let i = rng.range(0..tokens.len() as u64) as usize;
+                        q.cancel(tokens.swap_remove(i));
+                    }
                 }
             }
         }
+        let blob = save(&q);
+        let mut back: EventQueue<u64> = load(&blob);
+        assert_eq!(back.stats(), q.stats());
+        // Saving the restored queue reproduces the blob bit-for-bit.
+        assert_eq!(save(&back), blob, "blob not stable");
+        // Outstanding tokens cancel identically on both queues.
+        for (i, &tok) in tokens.iter().enumerate() {
+            if i % 3 == 0 {
+                assert_eq!(q.cancel(tok), back.cancel(tok), "token {i}");
+            }
+        }
+        // Remaining drain order matches exactly.
+        loop {
+            let (a, b) = (q.pop(), back.pop());
+            assert_eq!(a, b, "drain diverged");
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// The section's implementation tag is always the wheel's; a blob
+    /// carrying any other value (the retired heap wrote `0`) is refused.
+    #[test]
+    #[should_panic(expected = "invalid scheduler tag 0")]
+    fn restore_rejects_a_foreign_scheduler_tag() {
+        let mut blob = save(&EventQueue::<u32>::new());
+        // The tag byte directly follows the section header.
+        let mut header = SnapWriter::bare();
+        header.section("event_queue");
+        assert_eq!(blob[header.len()], WHEEL_TAG);
+        blob[header.len()] = 0;
+        let _: EventQueue<u32> = load(&blob);
     }
 
     /// Regression for the wheel-cascade satellite: snapshot at an origin
@@ -1224,7 +1097,7 @@ mod snap_tests {
     /// to cascade.
     #[test]
     fn wheel_restore_mid_cascade_at_non_slot_aligned_origin() {
-        let mut q: EventQueue<u32> = EventQueue::with_scheduler(Scheduler::Wheel);
+        let mut q: EventQueue<u32> = EventQueue::new();
         // Events across several levels and the overflow list.
         q.schedule_at(SimTime::from_micros(3), 0);
         q.schedule_at(SimTime::from_micros(3), 1); // same-instant tie

@@ -7,7 +7,7 @@
 //! they are sans-IO state machines, and only the top-level world knows how
 //! an event touches which component.
 
-use crate::event::{EventQueue, EventToken, QueueStats, Scheduler};
+use crate::event::{EventQueue, EventToken, QueueStats};
 use crate::time::{SimDuration, SimTime};
 
 /// Outcome of handling one event, controlling the main loop.
@@ -48,28 +48,13 @@ impl<E> Default for Simulator<E> {
 }
 
 impl<E> Simulator<E> {
-    /// Creates a simulator at time zero with an empty agenda, using the
-    /// scheduler selected by `WP2P_SCHEDULER` (see [`Scheduler::from_env`]).
+    /// Creates a simulator at time zero with an empty agenda.
     pub fn new() -> Self {
         Simulator {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             processed: 0,
         }
-    }
-
-    /// Creates a simulator backed by an explicit event-queue scheduler.
-    pub fn with_scheduler(scheduler: Scheduler) -> Self {
-        Simulator {
-            now: SimTime::ZERO,
-            queue: EventQueue::with_scheduler(scheduler),
-            processed: 0,
-        }
-    }
-
-    /// Which scheduler backs the event queue.
-    pub fn scheduler(&self) -> Scheduler {
-        self.queue.scheduler()
     }
 
     /// Event-queue instrumentation counters (depth, high-water depth,

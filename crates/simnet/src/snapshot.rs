@@ -1,8 +1,8 @@
 //! Deterministic world snapshots.
 //!
 //! A snapshot is a versioned, little-endian binary blob capturing the
-//! *dynamic* state of a simulation world — clocks, event queues (both
-//! scheduler backends, verbatim, so outstanding [`crate::event::EventToken`]s
+//! *dynamic* state of a simulation world — clocks, event queues (the
+//! wheel slab verbatim, so outstanding [`crate::event::EventToken`]s
 //! stay valid), RNG streams, protocol state machines, and metric cells.
 //! Static structure (topology, torrent specs, config closures, piece
 //! pickers) is deliberately excluded: a blob is restored *onto* a world

@@ -13,8 +13,11 @@
 //!   foreground (non-P2P) downloads.
 
 use super::common::{populate_swarm, synthetic_torrent, SwarmSetup};
+use super::fig2::Fig2aParams;
 use super::fig8::{Fig8aParams, FIG8A_SEED};
+use super::params::ExperimentParams;
 use super::playability::{run_playability_with, PlayabilityParams};
+use super::registry::Report;
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
 use crate::harness::SweepRunner;
 use crate::report::{kbps, Table};
@@ -192,11 +195,11 @@ pub struct DelackArm {
 /// concentrate more acknowledgement information per (pure) ACK on the
 /// uni-directional path, so losing one costs more — a paper-era TCP knob
 /// that interacts directly with the piggybacking story.
-pub fn ablate_delack(base: &super::fig2::Fig2aParams) -> Vec<DelackArm> {
+pub fn ablate_delack(base: &Fig2aParams) -> Vec<DelackArm> {
     [false, true]
         .into_iter()
         .map(|delayed_ack| {
-            let params = super::fig2::Fig2aParams {
+            let params = Fig2aParams {
                 delayed_ack,
                 ..base.clone()
             };
@@ -464,6 +467,66 @@ pub fn seed_lihd_table(arms: &[SeedLihdArm]) -> Table {
     }
     t.note("LIHD trades seeding throughput for the foreground's recovery");
     t
+}
+
+// ---------------------------------------------------------------------
+// Registry entry
+// ---------------------------------------------------------------------
+
+/// Canonical seed of the registry's `ablations` entry (the MF study's).
+pub const ABLATIONS_SEED: u64 = 0xAB1;
+
+/// The `ablations` entry's one knob: which preset each of the five
+/// studies takes its parameters from.
+pub fn ablations_params(paper: bool) -> ExperimentParams {
+    let mut p = ExperimentParams::new();
+    p.set_str("preset", if paper { "paper" } else { "quick" });
+    p
+}
+
+/// The registry's `ablations` entry: all five studies, one table each.
+/// The AM and delayed-ACK studies re-run the fig8a/fig2a sweeps on those
+/// figures' own seeds; `seed` is the MF study's, and the two LIHD
+/// studies keep their pinned seeds at the canonical value and shift with
+/// it otherwise.
+pub fn ablations_report(params: &ExperimentParams, _: &MetricsHandle, seed: u64) -> Report {
+    let paper = params.str_or("preset", "quick") == "paper";
+    let shift = seed ^ ABLATIONS_SEED;
+    let (mf, am, delack, lihd_mins, seed_lihd_mins) = if paper {
+        (
+            PlayabilityParams::paper_5mb(),
+            Fig8aParams::paper(),
+            Fig2aParams::paper(),
+            12,
+            15,
+        )
+    } else {
+        (
+            PlayabilityParams::quick_5mb(),
+            Fig8aParams::quick(),
+            Fig2aParams::quick(),
+            5,
+            6,
+        )
+    };
+    Report {
+        tables: vec![
+            mf_table(&ablate_mf_schedules(&mf, seed)),
+            am_table(&am, &ablate_am(&am)),
+            delack_table(&ablate_delack(&delack)),
+            lihd_table(&ablate_lihd(
+                60_000.0,
+                SimDuration::from_mins(lihd_mins),
+                0x11D ^ shift,
+            )),
+            seed_lihd_table(&ablate_seed_lihd(
+                100_000.0,
+                SimDuration::from_mins(seed_lihd_mins),
+                0x5EED ^ shift,
+            )),
+        ],
+        text: String::new(),
+    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! **Dark tracker tier** — the degradation ladder end to end
-//! (`all_figures -- --blackout <seed>`).
+//! (`all_figures -- --only blackout [--seed <seed>]`).
 //!
 //! Not a paper figure: the robustness follow-up to the service tier.
 //! One swarm, four arms, every observable a pure function of the seed:

@@ -401,7 +401,7 @@ mod tests {
     /// Satellite of the strategy-determinism contract: a mixed population
     /// under seeded fault injection replays byte-identically, trace
     /// included — the strategy hooks add no hidden nondeterminism to the
-    /// `--faults` path.
+    /// fault-replay path.
     #[test]
     fn mixed_population_fault_replay_is_byte_identical() {
         let replay = |seed: u64| {

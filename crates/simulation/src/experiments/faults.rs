@@ -1,4 +1,4 @@
-//! Seeded fault-plan replay (`all_figures -- --faults <seed>`).
+//! Seeded fault-plan replay (`all_figures -- --only faults --seed <seed>`).
 //!
 //! Not a paper figure: a debugging and robustness harness. Given a seed,
 //! it generates a deterministic [`FaultPlan`], replays it into a small
@@ -8,6 +8,8 @@
 //! so a failing seed found in CI can be replayed locally unchanged.
 
 use crate::experiments::common::{populate_swarm, synthetic_torrent, SwarmSetup};
+use crate::experiments::params::ExperimentParams;
+use crate::experiments::registry::Report;
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
 use crate::invariants::InvariantChecker;
 use crate::packet::{PacketConfig, PacketWorld};
@@ -98,15 +100,7 @@ pub struct PacketReplay {
 ///
 /// Panics if any invariant is violated during the run.
 pub fn replay_packet(seed: u64, horizon: SimDuration) -> PacketReplay {
-    replay_packet_with(seed, horizon, &MetricsHandle::disabled())
-}
-
-/// [`replay_packet`] with the world wired into `handle` (fault events
-/// plus per-endpoint TCP series). Pass a disabled handle for the plain
-/// replay.
-pub fn replay_packet_with(seed: u64, horizon: SimDuration, handle: &MetricsHandle) -> PacketReplay {
     let mut w = PacketWorld::new(PacketConfig::default(), seed);
-    w.set_metrics(handle);
     let a = w.add_node(None);
     let b = w.add_node(Some(WirelessConfig::wlan_80211g()));
     let conn = w.open_tcp(a, b);
@@ -159,6 +153,31 @@ pub fn fault_table(seed: u64, flow: &FlowReplay, pkt: &PacketReplay) -> Table {
     ]);
     t.note("zero invariant violations (a violation panics the replay)");
     t
+}
+
+/// Canonical seed of the registry's `faults` entry.
+pub const FAULTS_SEED: u64 = 42;
+
+/// The `faults` entry's one knob: the flow replay's horizon (the packet
+/// replay runs for at most 60 s of it).
+pub fn faults_params(horizon: SimDuration) -> ExperimentParams {
+    let mut p = ExperimentParams::new();
+    p.set_dur("horizon_s", horizon);
+    p
+}
+
+/// The registry's `faults` entry: replays the seed's plan into both
+/// worlds and reports the flow schedule ahead of the summary table.
+/// Only the flow world records into `metrics` — the packet replay
+/// restarts the clock at zero, and a dump's trace must stay monotone.
+pub fn faults_report(params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
+    let horizon = params.dur_or("horizon_s", SimDuration::from_secs(120));
+    let flow = replay_flow_with(seed, horizon, metrics);
+    let pkt = replay_packet(seed, horizon.min(SimDuration::from_secs(60)));
+    Report {
+        tables: vec![fault_table(seed, &flow, &pkt)],
+        text: flow.schedule,
+    }
 }
 
 #[cfg(test)]

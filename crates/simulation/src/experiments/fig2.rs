@@ -442,6 +442,19 @@ pub fn fig2bc_table(uni: &Fig2bcTrace, bi: &Fig2bcTrace) -> Table {
     t
 }
 
+/// The figure's claim as two lines of text: mean client packets per
+/// bucket before and after the first buffer drop, per arm.
+pub fn fig2bc_summary(uni: &Fig2bcTrace, bi: &Fig2bcTrace) -> String {
+    format!(
+        "uni: mean packets/bucket before first drop {:.1}, after {:.1}\n\
+         bi:  mean packets/bucket before first drop {:.1}, after {:.1}\n",
+        uni.mean_before_first_drop(),
+        uni.mean_after_first_drop(),
+        bi.mean_before_first_drop(),
+        bi.mean_after_first_drop()
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

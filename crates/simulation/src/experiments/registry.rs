@@ -1,20 +1,23 @@
 //! Registry-based experiment API.
 //!
-//! Every figure of the paper's evaluation is exposed as an [`Experiment`]:
-//! a named object with untyped default/paper parameters
+//! Every figure of the paper's evaluation — and every engineering
+//! experiment and diagnostic grown around them — is exposed as an
+//! [`Experiment`]: a named object with untyped default/paper parameters
 //! ([`ExperimentParams`]), a canonical seed, and a uniform
-//! `run(&params, &metrics, seed) -> Report` entry point. The bench
-//! drivers (`all_figures`, the per-figure bins) consume the registry
-//! instead of calling per-figure free functions, so `--only`, `--paper`,
-//! and `--metrics-out` behave identically across figures.
+//! `run(&params, &metrics, seed) -> Report` entry point. The registry is
+//! the only experiment surface: `all_figures` consumes it, so `--only`,
+//! `--paper`, `--seed` and `--metrics-out` behave identically across
+//! entries.
 //!
 //! The registry is static: [`all`] returns every experiment in the order
 //! `all_figures` runs them, [`find`] resolves an exact name, and
 //! [`matching`] implements `--only`'s substring filter.
 
+use super::ablations::{self, ABLATIONS_SEED};
 use super::blackout::{self, BLACKOUT_SEED};
 use super::erosion::{self, EROSION_SEED};
 use super::exploit::{self, EXPLOIT_SEED};
+use super::faults::{self, FAULTS_SEED};
 use super::fig2::{self, FIG2A_SEED, FIG2BC_SEED};
 use super::fig3::{self, FIG3AB_SEED, FIG3C_SEED};
 use super::fig4::{self, FIG4A_SEED, FIG4BC_SEED};
@@ -23,29 +26,41 @@ use super::fig9::{self, FIG9AB_SEED, FIG9C_SEED};
 use super::params::ExperimentParams;
 use super::playability::{self, PlayabilityParams};
 use super::scale::{self, SCALE_SEED};
+use super::search::{self, BISECT_SEED, SEARCH_SEED, SNAPSHOT_SEED};
 use super::service::{self, SERVICE_SEED};
 use super::soak::{self, SOAK_SEED};
 use crate::report::Table;
 use metrics::handle::MetricsHandle;
+use simnet::time::SimDuration;
 
-/// What an experiment returns: the tables the figure prints.
+/// What an experiment returns: the tables the figure prints, plus any
+/// free text that goes with them.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
     /// Rendered tables, one per panel.
     pub tables: Vec<Table>,
+    /// Free text that is not tabular — an injected fault schedule, the
+    /// searcher's replay artifact, a figure's summary lines. Whole
+    /// newline-terminated lines, or empty.
+    pub text: String,
 }
 
 impl Report {
-    /// A single-table report.
+    /// A single-table report with no free text.
     pub fn single(table: Table) -> Self {
         Report {
             tables: vec![table],
+            text: String::new(),
         }
     }
 
-    /// Prints every table, blank-line separated, exactly as the serial
-    /// drivers did.
+    /// Prints the free text (if any), then every table, all blank-line
+    /// separated.
     pub fn print(&self) {
+        if !self.text.is_empty() {
+            print!("{}", self.text);
+            println!();
+        }
         for (i, t) in self.tables.iter().enumerate() {
             if i > 0 {
                 println!();
@@ -81,145 +96,37 @@ pub trait Experiment: Sync {
 }
 
 // ---------------------------------------------------------------------
-// Per-figure implementations
+// The registry
 // ---------------------------------------------------------------------
 
-struct Fig2a;
-
-impl Experiment for Fig2a {
-    fn name(&self) -> &'static str {
-        "fig2a"
-    }
-    fn title(&self) -> &'static str {
-        "Downloading throughput vs BER — bi-TCP vs uni-TCP"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        fig2::Fig2aParams::quick().to_params()
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        fig2::Fig2aParams::paper().to_params()
-    }
-    fn default_seed(&self) -> u64 {
-        FIG2A_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let p = fig2::Fig2aParams::from_params(params);
-        Report::single(fig2::fig2a_table(&fig2::run_fig2a_with(&p, metrics, seed)))
-    }
+/// One registry row: the [`Experiment`] contract as plain data.
+struct Entry {
+    name: &'static str,
+    title: &'static str,
+    seed: u64,
+    quick: fn() -> ExperimentParams,
+    paper: fn() -> ExperimentParams,
+    run: fn(&ExperimentParams, &MetricsHandle, u64) -> Report,
 }
 
-struct Fig2bc;
-
-impl Experiment for Fig2bc {
+impl Experiment for Entry {
     fn name(&self) -> &'static str {
-        "fig2bc"
+        self.name
     }
     fn title(&self) -> &'static str {
-        "Packets sent from client on the wireless leg over time"
+        self.title
     }
     fn default_params(&self) -> ExperimentParams {
-        fig2::Fig2bcParams::quick().to_params()
+        (self.quick)()
     }
     fn paper_params(&self) -> ExperimentParams {
-        fig2::Fig2bcParams::paper().to_params()
+        (self.paper)()
     }
     fn default_seed(&self) -> u64 {
-        FIG2BC_SEED
+        self.seed
     }
     fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let p = fig2::Fig2bcParams::from_params(params);
-        let (uni, bi) = fig2::run_fig2bc_pair_with(&p, metrics, seed);
-        Report::single(fig2::fig2bc_table(&uni, &bi))
-    }
-}
-
-struct Fig3ab;
-
-impl Experiment for Fig3ab {
-    fn name(&self) -> &'static str {
-        "fig3ab"
-    }
-    fn title(&self) -> &'static str {
-        "Aggregate download vs upload limit — wired and wireless"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        fig3::Fig3abParams::quick().to_params()
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        fig3::Fig3abParams::paper().to_params()
-    }
-    fn default_seed(&self) -> u64 {
-        FIG3AB_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let p = fig3::Fig3abParams::from_params(params);
-        // Only panel (a) gets the live handle: the panels share series
-        // names, and a series must keep a single writer.
-        Report {
-            tables: vec![
-                fig3::fig3ab_table(
-                    "Figure 3(a): Aggregate download (KBps) vs upload limit — wired",
-                    &fig3::run_fig3a_with(&p, metrics, seed),
-                    "paper: monotonically increasing",
-                ),
-                fig3::fig3ab_table(
-                    "Figure 3(b): Aggregate download (KBps) vs upload limit — wireless",
-                    &fig3::run_fig3b_with(&p, &MetricsHandle::disabled(), seed),
-                    "paper: rises, peaks early, falls",
-                ),
-            ],
-        }
-    }
-}
-
-struct Fig3c;
-
-impl Experiment for Fig3c {
-    fn name(&self) -> &'static str {
-        "fig3c"
-    }
-    fn title(&self) -> &'static str {
-        "Downloaded size vs time — incentive & mobility arms"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        fig3::Fig3cParams::quick().to_params()
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        fig3::Fig3cParams::paper().to_params()
-    }
-    fn default_seed(&self) -> u64 {
-        FIG3C_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let p = fig3::Fig3cParams::from_params(params);
-        Report::single(fig3::fig3c_table(
-            &fig3::run_fig3c_with(&p, metrics, seed),
-            10,
-        ))
-    }
-}
-
-struct Fig4a;
-
-impl Experiment for Fig4a {
-    fn name(&self) -> &'static str {
-        "fig4a"
-    }
-    fn title(&self) -> &'static str {
-        "Fixed-peer throughput vs server mobility rate"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        fig4::Fig4aParams::quick().to_params()
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        fig4::Fig4aParams::paper().to_params()
-    }
-    fn default_seed(&self) -> u64 {
-        FIG4A_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let p = fig4::Fig4aParams::from_params(params);
-        Report::single(fig4::fig4a_table(&fig4::run_fig4a_with(&p, metrics, seed)))
+        (self.run)(params, metrics, seed)
     }
 }
 
@@ -232,6 +139,20 @@ fn panel_params(small: &PlayabilityParams, large: &PlayabilityParams) -> Experim
     p
 }
 
+fn quick_panels() -> ExperimentParams {
+    panel_params(
+        &PlayabilityParams::quick_5mb(),
+        &PlayabilityParams::quick_large(),
+    )
+}
+
+fn paper_panels() -> ExperimentParams {
+    panel_params(
+        &PlayabilityParams::paper_5mb(),
+        &PlayabilityParams::paper_large(),
+    )
+}
+
 /// Decodes [`panel_params`], filling gaps from the quick presets.
 fn panels_from(p: &ExperimentParams) -> (PlayabilityParams, PlayabilityParams) {
     (
@@ -240,360 +161,310 @@ fn panels_from(p: &ExperimentParams) -> (PlayabilityParams, PlayabilityParams) {
     )
 }
 
-struct Fig4bc;
-
-impl Experiment for Fig4bc {
-    fn name(&self) -> &'static str {
-        "fig4bc"
-    }
-    fn title(&self) -> &'static str {
-        "Playable vs downloaded fraction under rarest-first"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        panel_params(
-            &PlayabilityParams::quick_5mb(),
-            &PlayabilityParams::quick_large(),
-        )
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        panel_params(
-            &PlayabilityParams::paper_5mb(),
-            &PlayabilityParams::paper_large(),
-        )
-    }
-    fn default_seed(&self) -> u64 {
-        FIG4BC_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let (small, large) = panels_from(params);
-        // Panel (c) reuses panel (b)'s seed successor, preserving the
-        // serial drivers' 0x4B/0x4C pair; only panel (b) gets the live
-        // handle (shared series names, single writer).
-        Report {
-            tables: vec![
-                playability::playability_table(
-                    "Figure 4(b): Playable % vs downloaded % — 5 MB, rarest-first",
-                    &playability::run_playability_with(&small, None, metrics, seed),
-                    None,
-                ),
-                playability::playability_table(
-                    "Figure 4(c): Playable % vs downloaded % — large file, rarest-first",
-                    &playability::run_playability_with(
-                        &large,
-                        None,
-                        &MetricsHandle::disabled(),
-                        seed + 1,
-                    ),
-                    None,
-                ),
-            ],
-        }
-    }
-}
-
-struct Fig8a;
-
-impl Experiment for Fig8a {
-    fn name(&self) -> &'static str {
-        "fig8a"
-    }
-    fn title(&self) -> &'static str {
-        "Throughput vs BER — default vs wP2P (age-based manipulation)"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        fig8::Fig8aParams::quick().to_params()
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        fig8::Fig8aParams::paper().to_params()
-    }
-    fn default_seed(&self) -> u64 {
-        FIG8A_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let p = fig8::Fig8aParams::from_params(params);
-        Report::single(fig8::fig8a_table(&fig8::run_fig8a_with(&p, metrics, seed)))
-    }
-}
-
-struct Fig8b;
-
-impl Experiment for Fig8b {
-    fn name(&self) -> &'static str {
-        "fig8b"
-    }
-    fn title(&self) -> &'static str {
-        "Downloaded size vs time — identity retention under hand-offs"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        fig8::Fig8bParams::quick().to_params()
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        fig8::Fig8bParams::paper().to_params()
-    }
-    fn default_seed(&self) -> u64 {
-        FIG8B_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let p = fig8::Fig8bParams::from_params(params);
-        Report::single(fig8::fig8b_table(
-            &fig8::run_fig8b_with(&p, metrics, seed),
-            10,
-        ))
-    }
-}
-
-struct Fig8c;
-
-impl Experiment for Fig8c {
-    fn name(&self) -> &'static str {
-        "fig8c"
-    }
-    fn title(&self) -> &'static str {
-        "Download throughput vs wireless capacity — default vs wP2P (LIHD)"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        fig8::Fig8cParams::quick().to_params()
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        fig8::Fig8cParams::paper().to_params()
-    }
-    fn default_seed(&self) -> u64 {
-        FIG8C_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let p = fig8::Fig8cParams::from_params(params);
-        Report::single(fig8::fig8c_table(&fig8::run_fig8c_with(&p, metrics, seed)))
-    }
-}
-
-struct Fig9ab;
-
-impl Experiment for Fig9ab {
-    fn name(&self) -> &'static str {
-        "fig9ab"
-    }
-    fn title(&self) -> &'static str {
-        "Playable vs downloaded fraction — rarest-first vs mobility-aware"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        panel_params(
-            &PlayabilityParams::quick_5mb(),
-            &PlayabilityParams::quick_large(),
-        )
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        panel_params(
-            &PlayabilityParams::paper_5mb(),
-            &PlayabilityParams::paper_large(),
-        )
-    }
-    fn default_seed(&self) -> u64 {
-        FIG9AB_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let (small, large) = panels_from(params);
-        // Panel (b) takes the seed successor (the serial 0x9A/0x9B pair);
-        // only panel (a) gets the live handle.
-        Report {
-            tables: vec![
-                fig9::fig9ab_table(
-                    "Figure 9(a): Playable % vs downloaded % — 5 MB",
-                    &fig9::run_fig9ab_with(&small, metrics, seed),
-                ),
-                fig9::fig9ab_table(
-                    "Figure 9(b): Playable % vs downloaded % — large file",
-                    &fig9::run_fig9ab_with(&large, &MetricsHandle::disabled(), seed + 1),
-                ),
-            ],
-        }
-    }
-}
-
-struct Fig9c;
-
-impl Experiment for Fig9c {
-    fn name(&self) -> &'static str {
-        "fig9c"
-    }
-    fn title(&self) -> &'static str {
-        "Mobile-seed upload throughput vs mobility — role reversal"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        fig9::Fig9cParams::quick().to_params()
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        fig9::Fig9cParams::paper().to_params()
-    }
-    fn default_seed(&self) -> u64 {
-        FIG9C_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let p = fig9::Fig9cParams::from_params(params);
-        Report::single(fig9::fig9c_table(&fig9::run_fig9c_with(&p, metrics, seed)))
-    }
-}
-
-struct Scale;
-
-impl Experiment for Scale {
-    fn name(&self) -> &'static str {
-        "scale"
-    }
-    fn title(&self) -> &'static str {
-        "Large-swarm scale sweep — event-queue health vs swarm size"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        scale::ScaleParams::quick().to_params()
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        scale::ScaleParams::paper().to_params()
-    }
-    fn default_seed(&self) -> u64 {
-        SCALE_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let p = scale::ScaleParams::from_params(params);
-        Report::single(scale::scale_table(&scale::run_scale_with(
-            &p, metrics, seed,
-        )))
-    }
-}
-
-struct Service;
-
-impl Experiment for Service {
-    fn name(&self) -> &'static str {
-        "service"
-    }
-    fn title(&self) -> &'static str {
-        "Multi-swarm service tier — sharded trackers, flash crowds, clustering"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        service::ServiceParams::quick().to_params()
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        service::ServiceParams::paper().to_params()
-    }
-    fn default_seed(&self) -> u64 {
-        SERVICE_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let p = service::ServiceParams::from_params(params);
-        Report::single(service::service_table(&service::run_service_with(
-            &p, metrics, seed,
-        )))
-    }
-}
-
-struct Soak;
-
-impl Experiment for Soak {
-    fn name(&self) -> &'static str {
-        "soak"
-    }
-    fn title(&self) -> &'static str {
-        "Chaos soak — recovery time after composed fault windows"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        soak::SoakParams::quick().to_params()
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        soak::SoakParams::paper().to_params()
-    }
-    fn default_seed(&self) -> u64 {
-        SOAK_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let p = soak::SoakParams::from_params(params);
-        Report::single(soak::soak_table(&soak::run_soak_with(&p, metrics, seed)))
-    }
-}
-
-// ---------------------------------------------------------------------
-// The registry
-// ---------------------------------------------------------------------
-
-struct Exploit;
-
-impl Experiment for Exploit {
-    fn name(&self) -> &'static str {
-        "exploit"
-    }
-    fn title(&self) -> &'static str {
-        "Identity-retention exploit probe — honest retainers vs deliberate id-churners"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        exploit::ExploitParams::quick().to_params()
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        exploit::ExploitParams::paper().to_params()
-    }
-    fn default_seed(&self) -> u64 {
-        EXPLOIT_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let p = exploit::ExploitParams::from_params(params);
-        Report::single(exploit::exploit_table(&exploit::run_exploit_with(
-            &p, metrics, seed,
-        )))
-    }
-}
-
-struct Erosion;
-
-impl Experiment for Erosion {
-    fn name(&self) -> &'static str {
-        "erosion"
-    }
-    fn title(&self) -> &'static str {
-        "Free-rider erosion — fig8 retention lead vs adversarial population share"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        erosion::ErosionParams::quick().to_params()
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        erosion::ErosionParams::paper().to_params()
-    }
-    fn default_seed(&self) -> u64 {
-        EROSION_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let p = erosion::ErosionParams::from_params(params);
-        Report::single(erosion::erosion_table(&erosion::run_erosion_with(
-            &p, metrics, seed,
-        )))
-    }
-}
-
-struct Blackout;
-
-impl Experiment for Blackout {
-    fn name(&self) -> &'static str {
-        "blackout"
-    }
-    fn title(&self) -> &'static str {
-        "Dark tracker tier — replica failover, overload shedding, PEX fallback"
-    }
-    fn default_params(&self) -> ExperimentParams {
-        blackout::BlackoutParams::quick().to_params()
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        blackout::BlackoutParams::paper().to_params()
-    }
-    fn default_seed(&self) -> u64 {
-        BLACKOUT_SEED
-    }
-    fn run(&self, params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-        let p = blackout::BlackoutParams::from_params(params);
-        Report::single(blackout::blackout_table(&blackout::run_blackout_with(
-            &p, metrics, seed,
-        )))
-    }
-}
-
 static EXPERIMENTS: &[&dyn Experiment] = &[
-    &Fig2a, &Fig2bc, &Fig3ab, &Fig3c, &Fig4a, &Fig4bc, &Fig8a, &Fig8b, &Fig8c, &Fig9ab, &Fig9c,
-    &Scale, &Soak, &Service, &Exploit, &Erosion, &Blackout,
+    &Entry {
+        name: "fig2a",
+        title: "Downloading throughput vs BER — bi-TCP vs uni-TCP",
+        seed: FIG2A_SEED,
+        quick: || fig2::Fig2aParams::quick().to_params(),
+        paper: || fig2::Fig2aParams::paper().to_params(),
+        run: |params, metrics, seed| {
+            let p = fig2::Fig2aParams::from_params(params);
+            Report::single(fig2::fig2a_table(&fig2::run_fig2a_with(&p, metrics, seed)))
+        },
+    },
+    &Entry {
+        name: "fig2bc",
+        title: "Packets sent from client on the wireless leg over time",
+        seed: FIG2BC_SEED,
+        quick: || fig2::Fig2bcParams::quick().to_params(),
+        paper: || fig2::Fig2bcParams::paper().to_params(),
+        run: |params, metrics, seed| {
+            let p = fig2::Fig2bcParams::from_params(params);
+            let (uni, bi) = fig2::run_fig2bc_pair_with(&p, metrics, seed);
+            Report {
+                tables: vec![fig2::fig2bc_table(&uni, &bi)],
+                text: fig2::fig2bc_summary(&uni, &bi),
+            }
+        },
+    },
+    &Entry {
+        name: "fig3ab",
+        title: "Aggregate download vs upload limit — wired and wireless",
+        seed: FIG3AB_SEED,
+        quick: || fig3::Fig3abParams::quick().to_params(),
+        paper: || fig3::Fig3abParams::paper().to_params(),
+        run: |params, metrics, seed| {
+            let p = fig3::Fig3abParams::from_params(params);
+            // Only panel (a) gets the live handle: the panels share series
+            // names, and a series must keep a single writer.
+            Report {
+                tables: vec![
+                    fig3::fig3ab_table(
+                        "Figure 3(a): Aggregate download (KBps) vs upload limit — wired",
+                        &fig3::run_fig3a_with(&p, metrics, seed),
+                        "paper: monotonically increasing",
+                    ),
+                    fig3::fig3ab_table(
+                        "Figure 3(b): Aggregate download (KBps) vs upload limit — wireless",
+                        &fig3::run_fig3b_with(&p, &MetricsHandle::disabled(), seed),
+                        "paper: rises, peaks early, falls",
+                    ),
+                ],
+                text: String::new(),
+            }
+        },
+    },
+    &Entry {
+        name: "fig3c",
+        title: "Downloaded size vs time — incentive & mobility arms",
+        seed: FIG3C_SEED,
+        quick: || fig3::Fig3cParams::quick().to_params(),
+        paper: || fig3::Fig3cParams::paper().to_params(),
+        run: |params, metrics, seed| {
+            let p = fig3::Fig3cParams::from_params(params);
+            Report::single(fig3::fig3c_table(
+                &fig3::run_fig3c_with(&p, metrics, seed),
+                10,
+            ))
+        },
+    },
+    &Entry {
+        name: "fig4a",
+        title: "Fixed-peer throughput vs server mobility rate",
+        seed: FIG4A_SEED,
+        quick: || fig4::Fig4aParams::quick().to_params(),
+        paper: || fig4::Fig4aParams::paper().to_params(),
+        run: |params, metrics, seed| {
+            let p = fig4::Fig4aParams::from_params(params);
+            Report::single(fig4::fig4a_table(&fig4::run_fig4a_with(&p, metrics, seed)))
+        },
+    },
+    &Entry {
+        name: "fig4bc",
+        title: "Playable vs downloaded fraction under rarest-first",
+        seed: FIG4BC_SEED,
+        quick: quick_panels,
+        paper: paper_panels,
+        run: |params, metrics, seed| {
+            let (small, large) = panels_from(params);
+            // Panel (c) reuses panel (b)'s seed successor, preserving the
+            // serial drivers' 0x4B/0x4C pair; only panel (b) gets the live
+            // handle (shared series names, single writer).
+            Report {
+                tables: vec![
+                    playability::playability_table(
+                        "Figure 4(b): Playable % vs downloaded % — 5 MB, rarest-first",
+                        &playability::run_playability_with(&small, None, metrics, seed),
+                        None,
+                    ),
+                    playability::playability_table(
+                        "Figure 4(c): Playable % vs downloaded % — large file, rarest-first",
+                        &playability::run_playability_with(
+                            &large,
+                            None,
+                            &MetricsHandle::disabled(),
+                            seed + 1,
+                        ),
+                        None,
+                    ),
+                ],
+                text: String::new(),
+            }
+        },
+    },
+    &Entry {
+        name: "fig8a",
+        title: "Throughput vs BER — default vs wP2P (age-based manipulation)",
+        seed: FIG8A_SEED,
+        quick: || fig8::Fig8aParams::quick().to_params(),
+        paper: || fig8::Fig8aParams::paper().to_params(),
+        run: |params, metrics, seed| {
+            let p = fig8::Fig8aParams::from_params(params);
+            Report::single(fig8::fig8a_table(&fig8::run_fig8a_with(&p, metrics, seed)))
+        },
+    },
+    &Entry {
+        name: "fig8b",
+        title: "Downloaded size vs time — identity retention under hand-offs",
+        seed: FIG8B_SEED,
+        quick: || fig8::Fig8bParams::quick().to_params(),
+        paper: || fig8::Fig8bParams::paper().to_params(),
+        run: |params, metrics, seed| {
+            let p = fig8::Fig8bParams::from_params(params);
+            Report::single(fig8::fig8b_table(
+                &fig8::run_fig8b_with(&p, metrics, seed),
+                10,
+            ))
+        },
+    },
+    &Entry {
+        name: "fig8c",
+        title: "Download throughput vs wireless capacity — default vs wP2P (LIHD)",
+        seed: FIG8C_SEED,
+        quick: || fig8::Fig8cParams::quick().to_params(),
+        paper: || fig8::Fig8cParams::paper().to_params(),
+        run: |params, metrics, seed| {
+            let p = fig8::Fig8cParams::from_params(params);
+            Report::single(fig8::fig8c_table(&fig8::run_fig8c_with(&p, metrics, seed)))
+        },
+    },
+    &Entry {
+        name: "fig9ab",
+        title: "Playable vs downloaded fraction — rarest-first vs mobility-aware",
+        seed: FIG9AB_SEED,
+        quick: quick_panels,
+        paper: paper_panels,
+        run: |params, metrics, seed| {
+            let (small, large) = panels_from(params);
+            // Panel (b) takes the seed successor (the serial 0x9A/0x9B pair);
+            // only panel (a) gets the live handle.
+            Report {
+                tables: vec![
+                    fig9::fig9ab_table(
+                        "Figure 9(a): Playable % vs downloaded % — 5 MB",
+                        &fig9::run_fig9ab_with(&small, metrics, seed),
+                    ),
+                    fig9::fig9ab_table(
+                        "Figure 9(b): Playable % vs downloaded % — large file",
+                        &fig9::run_fig9ab_with(&large, &MetricsHandle::disabled(), seed + 1),
+                    ),
+                ],
+                text: String::new(),
+            }
+        },
+    },
+    &Entry {
+        name: "fig9c",
+        title: "Mobile-seed upload throughput vs mobility — role reversal",
+        seed: FIG9C_SEED,
+        quick: || fig9::Fig9cParams::quick().to_params(),
+        paper: || fig9::Fig9cParams::paper().to_params(),
+        run: |params, metrics, seed| {
+            let p = fig9::Fig9cParams::from_params(params);
+            Report::single(fig9::fig9c_table(&fig9::run_fig9c_with(&p, metrics, seed)))
+        },
+    },
+    &Entry {
+        name: "scale",
+        title: "Large-swarm scale sweep — event-queue health vs swarm size",
+        seed: SCALE_SEED,
+        quick: || scale::ScaleParams::quick().to_params(),
+        paper: || scale::ScaleParams::paper().to_params(),
+        run: |params, metrics, seed| {
+            let p = scale::ScaleParams::from_params(params);
+            Report::single(scale::scale_table(&scale::run_scale_with(
+                &p, metrics, seed,
+            )))
+        },
+    },
+    &Entry {
+        name: "soak",
+        title: "Chaos soak — recovery time after composed fault windows",
+        seed: SOAK_SEED,
+        quick: || soak::SoakParams::quick().to_params(),
+        paper: || soak::SoakParams::paper().to_params(),
+        run: |params, metrics, seed| {
+            let p = soak::SoakParams::from_params(params);
+            let points = soak::run_soak_with(&p, metrics, seed);
+            Report {
+                tables: vec![soak::soak_table(&points)],
+                text: soak::soak_schedules(&points),
+            }
+        },
+    },
+    &Entry {
+        name: "service",
+        title: "Multi-swarm service tier — sharded trackers, flash crowds, clustering",
+        seed: SERVICE_SEED,
+        quick: || service::ServiceParams::quick().to_params(),
+        paper: || service::ServiceParams::paper().to_params(),
+        run: |params, metrics, seed| {
+            let p = service::ServiceParams::from_params(params);
+            Report::single(service::service_table(&service::run_service_with(
+                &p, metrics, seed,
+            )))
+        },
+    },
+    &Entry {
+        name: "exploit",
+        title: "Identity-retention exploit probe — honest retainers vs deliberate id-churners",
+        seed: EXPLOIT_SEED,
+        quick: || exploit::ExploitParams::quick().to_params(),
+        paper: || exploit::ExploitParams::paper().to_params(),
+        run: |params, metrics, seed| {
+            let p = exploit::ExploitParams::from_params(params);
+            Report::single(exploit::exploit_table(&exploit::run_exploit_with(
+                &p, metrics, seed,
+            )))
+        },
+    },
+    &Entry {
+        name: "erosion",
+        title: "Free-rider erosion — fig8 retention lead vs adversarial population share",
+        seed: EROSION_SEED,
+        quick: || erosion::ErosionParams::quick().to_params(),
+        paper: || erosion::ErosionParams::paper().to_params(),
+        run: |params, metrics, seed| {
+            let p = erosion::ErosionParams::from_params(params);
+            Report::single(erosion::erosion_table(&erosion::run_erosion_with(
+                &p, metrics, seed,
+            )))
+        },
+    },
+    &Entry {
+        name: "blackout",
+        title: "Dark tracker tier — replica failover, overload shedding, PEX fallback",
+        seed: BLACKOUT_SEED,
+        quick: || blackout::BlackoutParams::quick().to_params(),
+        paper: || blackout::BlackoutParams::paper().to_params(),
+        run: |params, metrics, seed| {
+            let p = blackout::BlackoutParams::from_params(params);
+            Report::single(blackout::blackout_table(&blackout::run_blackout_with(
+                &p, metrics, seed,
+            )))
+        },
+    },
+    &Entry {
+        name: "faults",
+        title: "Seeded fault-plan replay into both worlds, invariant checker live",
+        seed: FAULTS_SEED,
+        quick: || faults::faults_params(SimDuration::from_secs(120)),
+        paper: || faults::faults_params(SimDuration::from_secs(600)),
+        run: faults::faults_report,
+    },
+    &Entry {
+        name: "snapshot",
+        title: "Save/restore differential on two scenarios plus a warm-started fork sweep",
+        seed: SNAPSHOT_SEED,
+        quick: ExperimentParams::new,
+        paper: ExperimentParams::new,
+        run: search::snapshot_report,
+    },
+    &Entry {
+        name: "bisect",
+        title: "Fault-window bisection — planted fatal window found in O(log n) restores",
+        seed: BISECT_SEED,
+        quick: ExperimentParams::new,
+        paper: ExperimentParams::new,
+        run: search::bisect_report,
+    },
+    &Entry {
+        name: "search",
+        title: "Seeded fault-schedule search with a reproducible (seed, schedule) artifact",
+        seed: SEARCH_SEED,
+        quick: || search::SearchParams::quick().to_params(),
+        paper: || search::SearchParams::paper().to_params(),
+        run: search::search_report,
+    },
+    &Entry {
+        name: "ablations",
+        title: "Ablations — MF schedules, AM components, delayed ACKs, LIHD, seed-mode LIHD",
+        seed: ABLATIONS_SEED,
+        quick: || ablations::ablations_params(false),
+        paper: || ablations::ablations_params(true),
+        run: ablations::ablations_report,
+    },
 ];
 
 /// Every registered experiment, in the order `all_figures` runs them.
@@ -630,6 +501,9 @@ mod tests {
             assert!(!e.title().is_empty());
         }
         assert!(find("fig2a").is_some());
+        for diagnostic in ["faults", "snapshot", "bisect", "search", "ablations"] {
+            assert!(find(diagnostic).is_some(), "{diagnostic} not registered");
+        }
         assert!(find("nope").is_none());
     }
 
@@ -649,7 +523,12 @@ mod tests {
                 let back = ExperimentParams::from_json(&text)
                     .unwrap_or_else(|err| panic!("{}: {err}", e.name()));
                 assert_eq!(params, back, "{} params round trip", e.name());
-                assert!(!params.is_empty(), "{} has no params", e.name());
+                // Only the two fixed-scenario diagnostics take no knobs.
+                assert!(
+                    !params.is_empty() || matches!(e.name(), "snapshot" | "bisect"),
+                    "{} has no params",
+                    e.name()
+                );
             }
         }
     }
@@ -664,5 +543,10 @@ mod tests {
         );
         assert_eq!(report.tables.len(), 1);
         assert!(!report.tables[0].is_empty());
+        // The figure's claim travels with the table.
+        let lines: Vec<&str> = report.text.lines().collect();
+        assert_eq!(lines.len(), 2, "summary lines: {:?}", report.text);
+        assert!(lines[0].starts_with("uni: mean packets/bucket before first drop "));
+        assert!(lines[1].starts_with("bi:  mean packets/bucket before first drop "));
     }
 }

@@ -11,9 +11,9 @@
 //! event-queue health counters the timer-wheel scheduler is meant to
 //! improve — events processed, queue-depth high-water mark, cancellation
 //! volume — plus swarm progress so a scheduler bug that stalls transfers
-//! cannot hide. Wall-clock comparisons between the `heap` and `wheel`
-//! schedulers live in the `scale_sweep` bench bin (`BENCH_scale.json`),
-//! not here: the registry run must stay deterministic.
+//! cannot hide. Wall-clock lives in the repo benchmark (`benchmark/`)
+//! and the `scale_sweep` single-cell timer, not here: the registry run
+//! must stay deterministic.
 
 use super::common::synthetic_torrent;
 use super::params::{builder_setters, ExperimentParams};
@@ -21,7 +21,6 @@ use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
 use crate::harness::SweepRunner;
 use crate::report::{pct, Table};
 use metrics::handle::MetricsHandle;
-use simnet::event::Scheduler;
 use simnet::mobility::MobilityProcess;
 use simnet::time::SimDuration;
 
@@ -68,17 +67,6 @@ impl ScaleParams {
             outage: SimDuration::from_secs(5),
             stall_timeout: SimDuration::from_secs(15),
             runs: 1,
-        }
-    }
-
-    /// Extra-large preset: quick-run durations at the 16k/65k swarm
-    /// sizes the incremental solver + arena layout unlock. Progress is
-    /// near zero at these sizes within the short window — the preset
-    /// exists to measure wall/vsec headroom, not swarm dynamics.
-    pub fn xl() -> Self {
-        ScaleParams {
-            sizes: vec![16_384, 65_536],
-            ..Self::quick()
         }
     }
 
@@ -204,30 +192,16 @@ pub fn swarm_mix(size: usize, mobile_fraction: f64) -> (usize, usize, usize) {
     (seeds, mobile.min(leeches), leeches - mobile.min(leeches))
 }
 
-/// Runs one swarm of `size` peers and collects the queue observables,
-/// using the scheduler selected by `WP2P_SCHEDULER`.
+/// Runs one swarm of `size` peers and collects the queue observables.
 pub fn run_scale_once(
     params: &ScaleParams,
     size: usize,
     metrics: &MetricsHandle,
     seed: u64,
 ) -> ScaleCell {
-    run_scale_once_sched(params, size, Scheduler::from_env(), metrics, seed)
-}
-
-/// [`run_scale_once`] on an explicit scheduler — the `scale_sweep` bench
-/// compares heap and wheel back to back in one process.
-pub fn run_scale_once_sched(
-    params: &ScaleParams,
-    size: usize,
-    scheduler: Scheduler,
-    metrics: &MetricsHandle,
-    seed: u64,
-) -> ScaleCell {
     let (seeds, mobile, fixed) = swarm_mix(size, params.mobile_fraction);
     let mut w = FlowWorld::new(
         FlowConfig {
-            scheduler,
             stall_timeout: (params.stall_timeout > SimDuration::ZERO)
                 .then_some(params.stall_timeout),
             ..FlowConfig::default()
@@ -442,17 +416,6 @@ mod tests {
         }
         // A fully fixed mix has no mobile peers.
         assert_eq!(swarm_mix(64, 0.0).1, 0);
-    }
-
-    #[test]
-    fn heap_and_wheel_worlds_agree() {
-        // World-level differential: the same seeded swarm must evolve
-        // identically under both schedulers (pop-order equivalence).
-        let params = tiny();
-        let a = run_scale_once_sched(&params, 10, Scheduler::Heap, &MetricsHandle::disabled(), 42);
-        let b = run_scale_once_sched(&params, 10, Scheduler::Wheel, &MetricsHandle::disabled(), 42);
-        assert_eq!(a, b, "schedulers diverged on an identical run");
-        assert!(a.events > 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Snapshot-powered diagnostics — the consumers of
 //! [`FlowWorld::save`]/[`FlowWorld::restore`]
-//! (`all_figures -- --snapshot | --bisect <seed> | --search <seed>`).
+//! (`all_figures -- --only snapshot|bisect|search [--seed <seed>]`).
 //!
 //! Three tools ride on the deterministic world snapshot:
 //!
@@ -25,6 +25,8 @@
 //! score without beating it) land in the metrics registry.
 
 use super::common::synthetic_torrent;
+use super::params::ExperimentParams;
+use super::registry::Report;
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
 use crate::report::Table;
 use bittorrent::client::ClientConfig;
@@ -351,6 +353,29 @@ impl SearchParams {
             warmup: SimDuration::from_secs(30),
             horizon: SimDuration::from_secs(480),
             file_size: 32 * 1024 * 1024,
+        }
+    }
+
+    /// Converts to the registry's untyped parameter map.
+    pub fn to_params(&self) -> ExperimentParams {
+        let mut p = ExperimentParams::new();
+        p.set_num("rounds", self.rounds as f64);
+        p.set_num("windows", self.windows as f64);
+        p.set_dur("warmup_s", self.warmup);
+        p.set_dur("horizon_s", self.horizon);
+        p.set_num("file_size", self.file_size as f64);
+        p
+    }
+
+    /// Builds from an untyped map, filling gaps from [`Self::quick`].
+    pub fn from_params(p: &ExperimentParams) -> Self {
+        let base = Self::quick();
+        SearchParams {
+            rounds: p.usize_or("rounds", base.rounds),
+            windows: p.usize_or("windows", base.windows),
+            warmup: p.dur_or("warmup_s", base.warmup),
+            horizon: p.dur_or("horizon_s", base.horizon),
+            file_size: p.u64_or("file_size", base.file_size),
         }
     }
 }
@@ -723,6 +748,103 @@ pub fn selfcheck_table(seed: u64, checks: &[SnapshotCheck]) -> Table {
         ]);
     }
     t
+}
+
+// ---------------------------------------------------------------------
+// Registry entries
+// ---------------------------------------------------------------------
+
+/// Canonical seed of the registry's `snapshot` entry.
+pub const SNAPSHOT_SEED: u64 = 0x5A9;
+/// Canonical seed of the registry's `bisect` entry.
+pub const BISECT_SEED: u64 = 7;
+/// Canonical seed of the registry's `search` entry.
+pub const SEARCH_SEED: u64 = 42;
+
+/// The diagnostic swarm at the size the `snapshot` and `bisect` entries
+/// run it.
+fn entry_world(seed: u64) -> FlowWorld {
+    diagnostic_world(seed, 32 * 1024 * 1024)
+}
+
+/// A generated plan over the diagnostic swarm's four nodes.
+fn generated_plan(seed: u64, span: SimDuration) -> FaultPlan {
+    let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
+    FaultPlan::generate(seed, &FaultPlanConfig::new(span, nodes))
+}
+
+/// The registry's `snapshot` entry: the save/restore differential on
+/// two scenarios plus a warm-started fork sweep.
+///
+/// # Panics
+///
+/// Panics when a restore-then-run diverges from its straight run —
+/// `all_figures` turns that into a nonzero exit.
+pub fn snapshot_report(_: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
+    let checks = snapshot_selfcheck(seed, metrics);
+    let diverged: Vec<&str> = checks
+        .iter()
+        .filter(|c| !c.identical)
+        .map(|c| c.scenario)
+        .collect();
+    assert!(
+        diverged.is_empty(),
+        "SNAPSHOT CHECK FAILED: restore-then-run diverged on {diverged:?}"
+    );
+    let warmup = SimTime::from_secs(30);
+    let arms: Vec<ForkArm> = (0..4)
+        .map(|i| ForkArm {
+            name: format!("arm{i}"),
+            plan: generated_plan(seed + i, SimDuration::from_secs(150)),
+        })
+        .collect();
+    let outs = warm_fork_sweep(
+        &|| entry_world(seed),
+        warmup,
+        SimTime::from_secs(200),
+        &arms,
+        &all_leeches_done,
+        metrics,
+    );
+    Report {
+        tables: vec![selfcheck_table(seed, &checks), fork_table(warmup, &outs)],
+        text: String::new(),
+    }
+}
+
+/// The registry's `bisect` entry: a generated schedule plus one planted
+/// fatal window; the bisection isolates whichever window first breaks
+/// liveness.
+pub fn bisect_report(_: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
+    let mut plan = generated_plan(seed, SimDuration::from_secs(120));
+    plan.push(
+        SimTime::from_secs(45),
+        FaultKind::LinkBlackhole {
+            node: NodeId(1),
+            duration: SimDuration::from_secs(3_600),
+        },
+    );
+    let out = bisect_fault_windows(
+        &|| entry_world(seed),
+        &plan,
+        SimTime::from_secs(200),
+        &all_leeches_done,
+        metrics,
+    );
+    Report {
+        tables: vec![bisect_table(seed, &out)],
+        text: out.schedule,
+    }
+}
+
+/// The registry's `search` entry: the seeded searcher, with its
+/// reproducible `(seed, schedule)` artifact ahead of the summary table.
+pub fn search_report(params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
+    let out = search_fault_schedules(&SearchParams::from_params(params), metrics, seed);
+    Report {
+        tables: vec![search_table(&out)],
+        text: out.artifact,
+    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! **Multi-swarm service tier** — a tracker operator's view of the paper
-//! (`all_figures -- --service <seed>`).
+//! (`all_figures -- --only service [--seed <seed>]`).
 //!
 //! Not a paper figure: ROADMAP item 2 at deployment scale. One flow
 //! world hosts hundreds of concurrent swarms sharing a sharded tracker

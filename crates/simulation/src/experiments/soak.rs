@@ -1,5 +1,5 @@
 //! **Chaos soak** — named fault scenarios that prove the swarm heals
-//! (`all_figures -- --soak <seed>`).
+//! (`all_figures -- --only soak [--seed <seed>]`).
 //!
 //! Not a paper figure: the robustness harness for the connection
 //! lifecycle layer. Each scenario composes [`FaultPlan`] windows —
@@ -589,6 +589,16 @@ pub fn run_soak_with_threads(
     threads: usize,
 ) -> Vec<SoakPoint> {
     run_soak_impl(params, metrics, base_seed, Some(threads))
+}
+
+/// Every scenario's injected fault schedule under a `## name — what`
+/// heading, blank-line separated: the free text of the soak report.
+pub fn soak_schedules(points: &[SoakPoint]) -> String {
+    let blocks: Vec<String> = points
+        .iter()
+        .map(|p| format!("## {} — {}\n{}", p.name, p.what, p.outcome.schedule))
+        .collect();
+    blocks.join("\n")
 }
 
 /// Renders the soak. Every row is a scenario that *passed* its liveness

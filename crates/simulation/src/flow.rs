@@ -25,7 +25,7 @@
 //!   after a hand-off). Age-based Manipulation is packet-level and lives
 //!   in the packet world instead.
 
-use crate::rates::{FlowDemand, RateEngine, SolverMode, SolverStats};
+use crate::rates::{FlowDemand, RateEngine, SolverStats};
 use bittorrent::client::{Action, Client, ClientConfig, ClientStats};
 use bittorrent::metainfo::{InfoHash, Metainfo};
 use bittorrent::peer_id::{PeerId, PeerIdStyle};
@@ -40,7 +40,7 @@ use metrics::registry::{Counter, Histogram};
 use metrics::stats::TimeSeries;
 use metrics::trace::{Trace, TraceKind};
 use simnet::addr::{AddressBook, NodeId, SimAddr};
-use simnet::event::{EventToken, QueueStats, Scheduler};
+use simnet::event::{EventToken, QueueStats};
 use simnet::fault::FaultHooks;
 use simnet::hash::FastHashMap;
 use simnet::mobility::MobilityProcess;
@@ -163,8 +163,6 @@ pub struct FlowConfig {
     /// default: the clustering analysis of the service experiment needs
     /// it; the scale hot path doesn't pay for it.
     pub track_peer_bytes: bool,
-    /// Event-queue scheduler backing the world's simulator.
-    pub scheduler: Scheduler,
     /// Per-connection stall watchdog: a connection with queued data that
     /// moves no bytes for this long is aborted (both sides notified), the
     /// flow-level analogue of a BitTorrent request timeout. The timer is
@@ -173,11 +171,6 @@ pub struct FlowConfig {
     /// cancel-mostly timer population that dominates real network stacks.
     /// `None` (the default) disables the watchdog entirely.
     pub stall_timeout: Option<SimDuration>,
-    /// Max-min solver strategy (see [`SolverMode`]); the default follows
-    /// the `WP2P_RATE_SOLVER` environment variable. Both modes run the
-    /// same component-decomposed kernel, so their outputs are
-    /// byte-identical — `Full` exists as the replay reference.
-    pub rate_solver: SolverMode,
 }
 
 impl Default for FlowConfig {
@@ -194,9 +187,7 @@ impl Default for FlowConfig {
             tracker_shards: 1,
             tracker_replicas: false,
             track_peer_bytes: false,
-            scheduler: Scheduler::from_env(),
             stall_timeout: None,
-            rate_solver: SolverMode::from_env(),
         }
     }
 }
@@ -589,8 +580,8 @@ impl FlowWorld {
         let rng = SimRng::new(seed);
         FlowWorld {
             tracker: TrackerTier::new(cfg.tracker, cfg.tracker_shards),
-            sim: Simulator::with_scheduler(cfg.scheduler),
-            engine: RateEngine::new(cfg.rate_solver),
+            sim: Simulator::new(),
+            engine: RateEngine::new(),
             cfg,
             book: AddressBook::new(),
             nodes: Vec::new(),
@@ -643,11 +634,6 @@ impl FlowWorld {
         self.engine.stats()
     }
 
-    /// The solver strategy this world runs.
-    pub fn rate_solver(&self) -> SolverMode {
-        self.engine.mode()
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
@@ -666,11 +652,6 @@ impl FlowWorld {
     /// Connections aborted by the stall watchdog so far.
     pub fn stall_aborts(&self) -> u64 {
         self.stall_aborts
-    }
-
-    /// Which event-queue scheduler backs this world.
-    pub fn scheduler(&self) -> Scheduler {
-        self.sim.scheduler()
     }
 
     /// Turns on event tracing (connection lifecycle, mobility, tracker).

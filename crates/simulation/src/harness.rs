@@ -18,8 +18,8 @@
 //!
 //! Every sweep records a [`SweepStats`] entry (cell count, wall-clock,
 //! summed per-cell wall-clock, simulated virtual time) into a global
-//! registry; the `all_figures` binary drains it into
-//! `BENCH_sweeps.json` so the repo has a perf trajectory.
+//! registry ([`take_stats`] drains it); `all_figures` sums it into its
+//! closing stderr line and the repo benchmark reads it per experiment.
 
 use metrics::handle::MetricsHandle;
 use simnet::rng::SimRng;

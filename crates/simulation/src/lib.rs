@@ -16,7 +16,7 @@
 //!   sequence-space and feasibility laws).
 //! * [`experiments`] — one driver per figure, each producing the same
 //!   series the paper plots.
-//! * [`report`] — plain-text table rendering for the figure binaries.
+//! * [`report`] — plain-text table rendering for the experiment reports.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -28,7 +28,7 @@ use sim_tcp::endpoint::{Endpoint, TcpConfig};
 use sim_tcp::segment::Segment;
 use sim_tcp::seq::SeqNum;
 use simnet::addr::{AddressBook, NodeId};
-use simnet::event::{EventToken, QueueStats, Scheduler};
+use simnet::event::{EventToken, QueueStats};
 use simnet::fault::FaultHooks;
 use simnet::rng::SimRng;
 use simnet::sim::Simulator;
@@ -51,8 +51,6 @@ pub struct PacketConfig {
     pub tcp: TcpConfig,
     /// Client housekeeping cadence (BitTorrent overlay).
     pub client_tick: SimDuration,
-    /// Event-queue scheduler backing the simulator.
-    pub scheduler: Scheduler,
 }
 
 impl Default for PacketConfig {
@@ -61,7 +59,6 @@ impl Default for PacketConfig {
             backbone_delay: SimDuration::from_millis(20),
             tcp: TcpConfig::default(),
             client_tick: SimDuration::from_millis(500),
-            scheduler: Scheduler::from_env(),
         }
     }
 }
@@ -168,7 +165,7 @@ impl PacketWorld {
     /// Creates an empty world.
     pub fn new(cfg: PacketConfig, seed: u64) -> Self {
         PacketWorld {
-            sim: Simulator::with_scheduler(cfg.scheduler),
+            sim: Simulator::new(),
             cfg,
             nodes: Vec::new(),
             conns: Vec::new(),
@@ -222,11 +219,6 @@ impl PacketWorld {
     /// Event-queue instrumentation counters.
     pub fn queue_stats(&self) -> QueueStats {
         self.sim.queue_stats()
-    }
-
-    /// Which event-queue scheduler backs this world.
-    pub fn scheduler(&self) -> Scheduler {
-        self.sim.scheduler()
     }
 
     /// Adds a node; `channel` gives it a wireless access hop.
@@ -884,22 +876,31 @@ impl PacketWorld {
             Action::Announce { event } => {
                 if self.tracker_down {
                     // The announce is lost. A client parks its announce
-                    // clock until a response arrives, so synthesize an
-                    // empty retry response whose interval follows the
-                    // client's announce backoff policy (capped
-                    // exponential per consecutive failure; the unarmed
-                    // policy's first step is the legacy fixed 60 s).
+                    // clock until it hears back, so either hand the
+                    // failure to its circuit breaker (armed clients: the
+                    // breaker owns retry pacing — the backoff ladder up
+                    // to the threshold, then cooloff-spaced probes) or
+                    // synthesize an empty retry response whose interval
+                    // follows the client's announce backoff policy
+                    // (capped exponential per consecutive failure; the
+                    // unarmed policy's first step is the legacy fixed
+                    // 60 s).
                     if event != AnnounceEvent::Stopped {
-                        let Some(policy) =
-                            self.nodes[node].client.as_ref().map(|c| c.resilience().announce)
+                        let Some(res) = self.nodes[node].client.as_ref().map(|c| *c.resilience())
                         else {
                             return;
                         };
                         let fails = self.nodes[node].announce_fails;
                         self.nodes[node].announce_fails = fails.saturating_add(1);
+                        if res.breaker_threshold > 0 {
+                            if let Some(client) = self.nodes[node].client.as_mut() {
+                                client.on_announce_failed(now);
+                            }
+                            return;
+                        }
                         let mut rng = self.rng.fork(810 + node as u64 + now.as_micros());
                         let resp = bittorrent::tracker::AnnounceResponse {
-                            interval: policy.delay(fails, &mut rng),
+                            interval: res.announce.delay(fails, &mut rng),
                             peers: Vec::new(),
                             complete: 0,
                             incomplete: 0,

@@ -32,8 +32,9 @@
 //! compare with a tolerance. What *is* bit-exact — asserted in debug
 //! builds on every incremental solve — is incremental vs. full solves of
 //! the engine itself: both decompose into the same components and run the
-//! same kernel arithmetic, so `WP2P_RATE_SOLVER=full` replays are
-//! byte-identical to the incremental default.
+//! same kernel arithmetic. [`RateEngine::solve`] picks between them from
+//! the size of the dirty set; [`RateEngine::invalidate_all`] forces the
+//! next solve to be a full one (the reference tests compare against).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -259,29 +260,6 @@ impl MaxMinSolver {
                     rates[i] = level;
                 }
             }
-        }
-    }
-}
-
-/// Which solve strategy the [`RateEngine`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SolverMode {
-    /// Re-solve only the connected components reachable from dirty
-    /// resources; splice frozen rates for the rest (the default).
-    Incremental,
-    /// Re-solve the whole population on every dirty solve. Same kernel,
-    /// same component decomposition — byte-identical outputs, used as
-    /// the replay reference in CI.
-    Full,
-}
-
-impl SolverMode {
-    /// Reads `WP2P_RATE_SOLVER` (`incremental` | `full`); defaults to
-    /// [`SolverMode::Incremental`].
-    pub fn from_env() -> Self {
-        match std::env::var("WP2P_RATE_SOLVER").as_deref() {
-            Ok("full") => SolverMode::Full,
-            _ => SolverMode::Incremental,
         }
     }
 }
@@ -520,7 +498,6 @@ impl Kernel {
 /// indices, and all per-flow state lives in parallel arrays.
 #[derive(Debug)]
 pub struct RateEngine {
-    mode: SolverMode,
     caps: Vec<f64>,
     demands: Vec<FlowDemand>,
     present: Vec<bool>,
@@ -546,15 +523,14 @@ pub struct RateEngine {
 
 impl Default for RateEngine {
     fn default() -> Self {
-        Self::new(SolverMode::Incremental)
+        Self::new()
     }
 }
 
 impl RateEngine {
     /// An empty engine.
-    pub fn new(mode: SolverMode) -> Self {
+    pub fn new() -> Self {
         RateEngine {
-            mode,
             caps: Vec::new(),
             demands: Vec::new(),
             present: Vec::new(),
@@ -575,11 +551,6 @@ impl RateEngine {
             #[cfg(debug_assertions)]
             verify_rates: Vec::new(),
         }
-    }
-
-    /// The active solve strategy.
-    pub fn mode(&self) -> SolverMode {
-        self.mode
     }
 
     /// Work counters so far.
@@ -716,11 +687,9 @@ impl RateEngine {
         if !self.is_dirty() {
             return false;
         }
-        // Full-solve fallback: forced mode, first solve, or a dirty set
-        // so large the component sweep would cover everything anyway.
-        let full = self.mode == SolverMode::Full
-            || self.all_dirty
-            || self.dirty.len() * 2 >= self.caps.len().max(1);
+        // Full-solve fallback: first solve, `invalidate_all`, or a dirty
+        // set so large the component sweep would cover everything anyway.
+        let full = self.all_dirty || self.dirty.len() * 2 >= self.caps.len().max(1);
         if full {
             self.stats.full_solves += 1;
             self.solve_full();
@@ -878,12 +847,11 @@ impl RateEngine {
     /// Serializes the engine's persistent allocation state.
     ///
     /// The kernel and component-sweep scratch are empty between solves
-    /// and are rebuilt by [`RateEngine::restore_state`]; the solver
-    /// `mode` is environment configuration and stays with the live
-    /// engine. `flows_on` is serialized verbatim (not rebuilt from the
-    /// demands) because its intra-list order is perturbed by
-    /// `swap_remove` on unlink, and a later `save` of the restored
-    /// engine must be byte-identical to a save of the straight-run one.
+    /// and are rebuilt by [`RateEngine::restore_state`]. `flows_on` is
+    /// serialized verbatim (not rebuilt from the demands) because its
+    /// intra-list order is perturbed by `swap_remove` on unlink, and a
+    /// later `save` of the restored engine must be byte-identical to a
+    /// save of the straight-run one.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.section("rate_engine");
         self.caps.snap(w);
@@ -1102,8 +1070,8 @@ mod tests {
     // ------------------------------------------------------------------
 
     /// Loads a static problem into a fresh engine.
-    fn engine_with(flows: &[FlowDemand], caps: &[f64], mode: SolverMode) -> RateEngine {
-        let mut e = RateEngine::new(mode);
+    fn engine_with(flows: &[FlowDemand], caps: &[f64]) -> RateEngine {
+        let mut e = RateEngine::new();
         e.ensure_resources(caps.len());
         for (r, &c) in caps.iter().enumerate() {
             e.set_capacity(r, c);
@@ -1153,7 +1121,7 @@ mod tests {
             ),
         ];
         for (flows, caps) in &problems {
-            let mut e = engine_with(flows, caps, SolverMode::Incremental);
+            let mut e = engine_with(flows, caps);
             assert!(e.solve(), "dirty engine must solve");
             assert_close_to_oracle(&e, flows, caps);
         }
@@ -1162,7 +1130,7 @@ mod tests {
     #[test]
     fn clean_engine_skips() {
         let flows = [FlowDemand::single(0), FlowDemand::single(0)];
-        let mut e = engine_with(&flows, &[100.0], SolverMode::Incremental);
+        let mut e = engine_with(&flows, &[100.0]);
         assert!(e.solve());
         assert!(!e.solve(), "clean problem must skip");
         assert_eq!(e.stats().full_solves, 1);
@@ -1177,7 +1145,7 @@ mod tests {
         // component A's work counters untouched.
         let flows = [FlowDemand::new(0, 1), FlowDemand::new(2, 3)];
         let caps = [10.0, 20.0, 5.0, 100.0];
-        let mut e = engine_with(&flows, &caps, SolverMode::Incremental);
+        let mut e = engine_with(&flows, &caps);
         assert!(e.solve());
         let before = e.stats();
         e.set_capacity(2, 7.0);
@@ -1195,14 +1163,14 @@ mod tests {
 
     #[test]
     fn incremental_matches_full_bitwise_under_churn() {
-        // Drive two engines (incremental vs full-every-solve) through a
-        // randomized demand/capacity/churn sequence: rates must stay
-        // byte-identical at every step. (Debug builds additionally
-        // self-verify inside the incremental engine.)
+        // Drive two engines (incremental vs `invalidate_all` before
+        // every solve) through a randomized demand/capacity/churn
+        // sequence: rates must stay byte-identical at every step. (Debug
+        // builds additionally self-verify inside the incremental engine.)
         let mut rng = simnet::rng::SimRng::new(0xFA57);
         let nr = 24usize;
-        let mut inc = RateEngine::new(SolverMode::Incremental);
-        let mut full = RateEngine::new(SolverMode::Full);
+        let mut inc = RateEngine::new();
+        let mut full = RateEngine::new();
         for e in [&mut inc, &mut full] {
             e.ensure_resources(nr);
             for r in 0..nr {
@@ -1242,6 +1210,9 @@ mod tests {
                 full.invalidate_all();
             }
             inc.solve();
+            if full.is_dirty() {
+                full.invalidate_all();
+            }
             full.solve();
             for slot in 0..nslots {
                 assert_eq!(
@@ -1254,14 +1225,14 @@ mod tests {
             }
         }
         assert!(inc.stats().incremental_solves > 0, "never took the fast path");
-        assert!(full.stats().incremental_solves == 0, "full mode must not");
+        assert!(full.stats().incremental_solves == 0, "reference must not");
     }
 
     #[test]
     fn class_aggregation_compresses_symmetric_flows() {
         // 16 identical flows through one pipe: one class, one level.
         let flows = vec![FlowDemand::new(0, 1); 16];
-        let mut e = engine_with(&flows, &[80.0, 800.0], SolverMode::Incremental);
+        let mut e = engine_with(&flows, &[80.0, 800.0]);
         assert!(e.solve());
         for i in 0..16 {
             assert!(close(e.rate(i), 5.0), "flow {i} = {}", e.rate(i));
@@ -1273,7 +1244,7 @@ mod tests {
     #[test]
     fn removal_zeroes_rate_immediately() {
         let flows = [FlowDemand::single(0), FlowDemand::single(0)];
-        let mut e = engine_with(&flows, &[100.0], SolverMode::Incremental);
+        let mut e = engine_with(&flows, &[100.0]);
         e.solve();
         assert!(close(e.rate(0), 50.0));
         e.remove_flow(0);
@@ -1285,7 +1256,7 @@ mod tests {
     #[test]
     fn zero_capacity_engine_blocks_flow_and_unblocks() {
         let flows = [FlowDemand::new(0, 1), FlowDemand::single(1)];
-        let mut e = engine_with(&flows, &[0.0, 50.0], SolverMode::Incremental);
+        let mut e = engine_with(&flows, &[0.0, 50.0]);
         e.solve();
         assert_eq!(e.rate(0), 0.0);
         assert!(close(e.rate(1), 50.0));
@@ -1293,12 +1264,5 @@ mod tests {
         e.solve();
         assert!(close(e.rate(0), 25.0));
         assert!(close(e.rate(1), 25.0));
-    }
-
-    #[test]
-    fn solver_mode_env_parsing() {
-        // Only inspects the parser default; the env var itself is read
-        // once at world construction.
-        assert_eq!(SolverMode::from_env(), SolverMode::from_env());
     }
 }

@@ -5,17 +5,19 @@
 //! sequences (plus the degenerate corners: zero-capacity resources,
 //! single-flow classes, all-dirty updates):
 //!
-//! 1. **Cross-mode bit-identity** — an `Incremental` engine and a `Full`
-//!    engine fed the same mutation stream produce bit-identical rates
-//!    after every solve. This is the release-build counterpart of the
-//!    debug-only `verify_incremental` assertion.
+//! 1. **Incremental-vs-full bit-identity** — an engine left to pick its
+//!    own path and a reference engine forced onto the full path
+//!    (`invalidate_all()` before every solve), fed the same mutation
+//!    stream, produce bit-identical rates after every solve. This is the
+//!    release-build counterpart of the debug-only `verify_incremental`
+//!    assertion.
 //! 2. **Oracle agreement** — engine rates match the reference
 //!    progressive-filling oracle to tight tolerance. Tolerance, not
 //!    bit-identity: the engine fills per connected component and per
 //!    class while the oracle advances one global water level, which can
 //!    reorder mathematically-equivalent float operations.
 
-use p2p_simulation::rates::{max_min_rates, FlowDemand, RateEngine, SolverMode};
+use p2p_simulation::rates::{max_min_rates, FlowDemand, RateEngine};
 use simnet::rng::SimRng;
 
 const SLOTS: usize = 96;
@@ -50,8 +52,8 @@ struct Harness {
 
 impl Harness {
     fn new(nr: usize) -> Self {
-        let mut inc = RateEngine::new(SolverMode::Incremental);
-        let mut full = RateEngine::new(SolverMode::Full);
+        let mut inc = RateEngine::new();
+        let mut full = RateEngine::new();
         inc.ensure_resources(nr);
         full.ensure_resources(nr);
         Harness {
@@ -82,8 +84,11 @@ impl Harness {
 
     fn solve_and_check(&mut self, step: usize) {
         self.inc.solve();
+        if self.full.is_dirty() {
+            self.full.invalidate_all();
+        }
         self.full.solve();
-        // Claim 1: cross-mode bit-identity.
+        // Claim 1: incremental-vs-full bit-identity.
         for slot in 0..SLOTS {
             assert_eq!(
                 self.inc.rate(slot).to_bits(),

@@ -4,9 +4,9 @@
 //! Every test compares full serialized world blobs — not summaries — so
 //! any divergence in any subsystem (event queue, RNG streams, client
 //! state, rate engine, tracker, metrics) fails loudly. The matrix
-//! covers both worlds, both scheduler backends, both rate-solver paths,
-//! snapshots taken mid-fault-window, inside an announce backoff ladder,
-//! and at times that land between timer-wheel cascades.
+//! covers both worlds, snapshots taken mid-fault-window, inside an
+//! announce backoff ladder, under a dark tracker tier, and at times that
+//! land between timer-wheel cascades or flow ticks.
 
 use bittorrent::client::{ClientConfig, PexConfig};
 use bittorrent::lifecycle::ResilienceConfig;
@@ -14,9 +14,7 @@ use bittorrent::metainfo::Metainfo;
 use bittorrent::tracker::TrackerConfig;
 use p2p_simulation::flow::{Access, FlowConfig, FlowWorld, TaskKey, TaskSpec, TorrentSpec};
 use p2p_simulation::packet::{PacketConfig, PacketWorld};
-use p2p_simulation::rates::SolverMode;
 use simnet::addr::NodeId;
-use simnet::event::Scheduler;
 use simnet::fault::{FaultInjector, FaultKind, FaultPlan, FaultPlanConfig};
 use simnet::rng::SimRng;
 use simnet::mobility::MobilityProcess;
@@ -39,15 +37,10 @@ fn at(s: u64) -> SimTime {
 
 /// A quick fig3b-shaped swarm: campus seed, two residential leeches,
 /// one wireless mobile leech with a hand-off schedule.
-fn fig3b_world(seed: u64, scheduler: Scheduler, solver: SolverMode) -> FlowWorld {
+fn fig3b_world(seed: u64) -> FlowWorld {
     let meta = Metainfo::synthetic("snap.bin", "tr", 256 * 1024, 16 * MB, seed);
     let torrent = TorrentSpec::from_metainfo(&meta, 256 * 1024);
-    let cfg = FlowConfig {
-        scheduler,
-        rate_solver: solver,
-        ..FlowConfig::default()
-    };
-    let mut w = FlowWorld::new(cfg, seed);
+    let mut w = FlowWorld::new(FlowConfig::default(), seed);
     let seed_node = w.add_node(Access::campus());
     w.add_task(TaskSpec::default_client(seed_node, torrent, true));
     for i in 0..2 {
@@ -70,11 +63,10 @@ fn fig3b_world(seed: u64, scheduler: Scheduler, solver: SolverMode) -> FlowWorld
 
 /// A soak-shaped swarm: armed clients + stall watchdog, for fault and
 /// backoff-ladder snapshots.
-fn armed_world(seed: u64, scheduler: Scheduler) -> (FlowWorld, Vec<TaskKey>) {
+fn armed_world(seed: u64) -> (FlowWorld, Vec<TaskKey>) {
     let meta = Metainfo::synthetic("snap2.bin", "tr", 256 * 1024, 16 * MB, seed);
     let torrent = TorrentSpec::from_metainfo(&meta, 256 * 1024);
     let cfg = FlowConfig {
-        scheduler,
         stall_timeout: Some(secs(15)),
         ..FlowConfig::default()
     };
@@ -140,52 +132,24 @@ fn assert_flow_differential(
 }
 
 #[test]
-fn flow_fig3b_restore_is_byte_identical_heap() {
-    assert_flow_differential(
-        || fig3b_world(11, Scheduler::Heap, SolverMode::Incremental),
-        at(40),
-        at(90),
-    );
-}
-
-#[test]
 fn flow_fig3b_restore_is_byte_identical_wheel() {
-    assert_flow_differential(
-        || fig3b_world(11, Scheduler::Wheel, SolverMode::Incremental),
-        at(40),
-        at(90),
-    );
-}
-
-#[test]
-fn flow_fig3b_restore_is_byte_identical_full_solver() {
-    assert_flow_differential(
-        || fig3b_world(11, Scheduler::Wheel, SolverMode::Full),
-        at(40),
-        at(90),
-    );
+    assert_flow_differential(|| fig3b_world(11), at(40), at(90));
 }
 
 /// Snapshot at a time that is not a multiple of any tick or wheel slot
 /// (odd microseconds): the wheel's cascade position must survive.
 #[test]
 fn flow_snapshot_between_wheel_cascades() {
-    assert_flow_differential(
-        || fig3b_world(23, Scheduler::Wheel, SolverMode::Incremental),
-        SimTime::from_micros(33_333_337),
-        at(80),
-    );
+    assert_flow_differential(|| fig3b_world(23), SimTime::from_micros(33_333_337), at(80));
 }
 
-/// Heap and wheel backends restored from their own blobs must agree
-/// with their own straight runs even when the snapshot lands mid-tick.
+/// Snapshot half-way between two 250 ms flow ticks, a few microseconds
+/// off the grid: the partially elapsed tick (bytes moved since the last
+/// advance, the pending tick event) must survive. (The `_heap` suffix is
+/// historical — the name is pinned by the tier-1 floor list.)
 #[test]
 fn flow_snapshot_at_sub_tick_offset_heap() {
-    assert_flow_differential(
-        || fig3b_world(23, Scheduler::Heap, SolverMode::Incremental),
-        SimTime::from_micros(33_333_337),
-        at(80),
-    );
+    assert_flow_differential(|| fig3b_world(29), SimTime::from_micros(41_125_003), at(85));
 }
 
 // ----------------------------------------------------------------------
@@ -222,7 +186,7 @@ fn soak_plan(seed: u64, nodes: usize) -> FaultPlan {
 fn flow_snapshot_mid_fault_window() {
     let plan = soak_plan(7, 3);
     let run = |snapshot_at: Option<SimTime>| -> (Vec<u8>, usize) {
-        let (mut w, _tasks) = armed_world(7, Scheduler::Wheel);
+        let (mut w, _tasks) = armed_world(7);
         let mut inj = FaultInjector::new(&plan);
         let t_snap = snapshot_at.unwrap_or(SimTime::MAX);
         let mut blob: Option<(Vec<u8>, usize)> = None;
@@ -254,7 +218,7 @@ fn flow_snapshot_mid_fault_window() {
     let (want, _) = run(None);
     // Interrupted run: capture the mid-window blob + applied count.
     let (blob, applied) = {
-        let (mut w, _tasks) = armed_world(7, Scheduler::Wheel);
+        let (mut w, _tasks) = armed_world(7);
         let mut inj = FaultInjector::new(&plan);
         w.run_driven_until(
             at(30),
@@ -267,7 +231,7 @@ fn flow_snapshot_mid_fault_window() {
         (w.save(), inj.applied())
     };
     // Restored arm: rebuild world AND injector, skip absorbed actions.
-    let (mut w, _tasks) = armed_world(7, Scheduler::Wheel);
+    let (mut w, _tasks) = armed_world(7);
     w.restore(&blob);
     let mut inj = FaultInjector::new(&plan);
     inj.skip_to(applied);
@@ -295,7 +259,7 @@ fn flow_snapshot_inside_backoff_ladder() {
         p.push(at(10), FaultKind::TrackerOutage { duration: secs(60) });
         p
     };
-    let build = || armed_world(3, Scheduler::Wheel).0;
+    let build = || armed_world(3).0;
     // Straight arm.
     let mut straight = build();
     let mut inj = FaultInjector::new(&plan);
@@ -344,11 +308,10 @@ fn flow_snapshot_inside_backoff_ladder() {
 /// circuit breakers, a four-shard replica tracker tier, and one mobile
 /// hand-off node. Snapshots of this world must carry gossip books,
 /// per-entry ages, breaker states, and saved-address reseeds.
-fn pex_world(seed: u64, scheduler: Scheduler) -> (FlowWorld, Vec<TaskKey>) {
+fn pex_world(seed: u64) -> (FlowWorld, Vec<TaskKey>) {
     let meta = Metainfo::synthetic("pexsnap.bin", "tr", 256 * 1024, 16 * MB, seed);
     let torrent = TorrentSpec::from_metainfo(&meta, 256 * 1024);
     let cfg = FlowConfig {
-        scheduler,
         tracker: TrackerConfig {
             announce_interval: secs(30),
             min_interval: secs(15),
@@ -402,14 +365,15 @@ fn pex_world(seed: u64, scheduler: Scheduler) -> (FlowWorld, Vec<TaskKey>) {
 /// only discovery channel: breakers open, gossip books populated, the
 /// mobile node mid-hand-off-cycle. The restored run must continue all
 /// three rungs of the ladder byte-identically.
-fn assert_pex_blackout_differential(scheduler: Scheduler) {
+#[test]
+fn flow_pex_snapshot_mid_blackout_wheel() {
     let plan = {
         let mut p = FaultPlan::empty(17);
         p.push(at(15), FaultKind::TrackerOutage { duration: secs(300) });
         p
     };
     // Straight arm: run into the blackout, snapshot, keep going.
-    let (mut straight, tasks) = pex_world(17, scheduler);
+    let (mut straight, tasks) = pex_world(17);
     let mut inj = FaultInjector::new(&plan);
     straight.run_driven_until(
         at(100),
@@ -438,7 +402,7 @@ fn assert_pex_blackout_differential(scheduler: Scheduler) {
     );
     let want = straight.save();
     // Restored arm.
-    let (mut restored, _tasks) = pex_world(17, scheduler);
+    let (mut restored, _tasks) = pex_world(17);
     restored.restore(&blob);
     assert!(
         restored.save() == blob,
@@ -462,26 +426,12 @@ fn assert_pex_blackout_differential(scheduler: Scheduler) {
     assert_eq!(straight.solver_stats(), restored.solver_stats());
 }
 
-#[test]
-fn flow_pex_snapshot_mid_blackout_heap() {
-    assert_pex_blackout_differential(Scheduler::Heap);
-}
-
-#[test]
-fn flow_pex_snapshot_mid_blackout_wheel() {
-    assert_pex_blackout_differential(Scheduler::Wheel);
-}
-
 // ----------------------------------------------------------------------
 // Packet-world scenarios
 // ----------------------------------------------------------------------
 
-fn packet_raw_world(scheduler: Scheduler, seed: u64) -> PacketWorld {
-    let cfg = PacketConfig {
-        scheduler,
-        ..PacketConfig::default()
-    };
-    let mut w = PacketWorld::new(cfg, seed);
+fn packet_raw_world(seed: u64) -> PacketWorld {
+    let mut w = PacketWorld::new(PacketConfig::default(), seed);
     let a = w.add_node(None);
     let b = w.add_node(Some(WirelessConfig::wlan_80211g()));
     let conn = w.open_tcp(a, b);
@@ -490,14 +440,10 @@ fn packet_raw_world(scheduler: Scheduler, seed: u64) -> PacketWorld {
     w
 }
 
-fn packet_overlay_world(scheduler: Scheduler, seed: u64) -> PacketWorld {
+fn packet_overlay_world(seed: u64) -> PacketWorld {
     let meta = Metainfo::synthetic("psnap.bin", "tr", 64 * 1024, 2 * MB, seed);
     let ih = meta.info.info_hash();
-    let cfg = PacketConfig {
-        scheduler,
-        ..PacketConfig::default()
-    };
-    let mut w = PacketWorld::new(cfg, seed);
+    let mut w = PacketWorld::new(PacketConfig::default(), seed);
     let seeder = w.add_node(None);
     let leech = w.add_node(Some(WirelessConfig::wlan_80211g()));
     w.add_client(
@@ -547,18 +493,9 @@ fn assert_packet_differential(
 }
 
 #[test]
-fn packet_raw_tcp_restore_is_byte_identical_heap() {
-    assert_packet_differential(
-        || packet_raw_world(Scheduler::Heap, 5),
-        SimTime::from_millis(2_517),
-        at(12),
-    );
-}
-
-#[test]
 fn packet_raw_tcp_restore_is_byte_identical_wheel() {
     assert_packet_differential(
-        || packet_raw_world(Scheduler::Wheel, 5),
+        || packet_raw_world(5),
         SimTime::from_millis(2_517),
         at(12),
     );
@@ -567,7 +504,7 @@ fn packet_raw_tcp_restore_is_byte_identical_wheel() {
 #[test]
 fn packet_overlay_restore_is_byte_identical() {
     assert_packet_differential(
-        || packet_overlay_world(Scheduler::Wheel, 9),
+        || packet_overlay_world(9),
         at(20),
         at(60),
     );
@@ -587,7 +524,7 @@ fn packet_snapshot_mid_blackhole() {
         );
         p
     };
-    let build = || packet_overlay_world(Scheduler::Wheel, 4);
+    let build = || packet_overlay_world(4);
     let mut straight = build();
     let mut inj = FaultInjector::new(&plan);
     straight.run_until(at(8), |w| {
@@ -616,14 +553,10 @@ fn packet_snapshot_mid_blackhole() {
 
 /// Packet-world overlay with PEX + breakers on both clients, for the
 /// dark-tier snapshot variant below.
-fn packet_pex_world(scheduler: Scheduler, seed: u64) -> PacketWorld {
+fn packet_pex_world(seed: u64) -> PacketWorld {
     let meta = Metainfo::synthetic("ppexsnap.bin", "tr", 64 * 1024, 2 * MB, seed);
     let ih = meta.info.info_hash();
-    let cfg = PacketConfig {
-        scheduler,
-        ..PacketConfig::default()
-    };
-    let mut w = PacketWorld::new(cfg, seed);
+    let mut w = PacketWorld::new(PacketConfig::default(), seed);
     let pexed = || ClientConfig {
         resilience: ResilienceConfig {
             breaker_threshold: 2,
@@ -662,24 +595,32 @@ fn packet_pex_world(scheduler: Scheduler, seed: u64) -> PacketWorld {
     w
 }
 
-/// Packet-world dark-tier snapshot: the tracker outage is open and PEX
-/// gossip timers are mid-cycle when the blob is taken.
-fn assert_packet_pex_blackout_differential(scheduler: Scheduler) {
+/// Packet-world dark-tier snapshot: the tracker goes dark right after
+/// the peers found each other, so the leech's `Completed` announce
+/// (t ≈ 3 s) and its retry a minute later both fail and trip its breaker.
+/// The blob is taken with the outage open, the breaker tripped, and PEX
+/// gossip timers mid-cycle.
+#[test]
+fn packet_pex_snapshot_mid_blackout_wheel() {
     let plan = {
         let mut p = FaultPlan::empty(6);
-        p.push(at(5), FaultKind::TrackerOutage { duration: secs(120) });
+        p.push(at(1), FaultKind::TrackerOutage { duration: secs(200) });
         p
     };
-    let build = || packet_pex_world(scheduler, 21);
+    let build = || packet_pex_world(21);
     let mut straight = build();
     let mut inj = FaultInjector::new(&plan);
-    straight.run_until(at(25), |w| {
+    straight.run_until(at(80), |w| {
         inj.poll(w);
     });
     assert!(straight.tracker_is_down(), "snapshot must land mid-blackout");
+    // Node 1 is the leech: its failed announces must have reached the
+    // client's breaker, not been papered over with synthetic responses.
+    let trips = straight.client(1).expect("leech client").stats().breaker_trips;
+    assert!(trips > 0, "the leech's announce breaker never tripped");
     let blob = straight.save();
     let applied = inj.applied();
-    straight.run_until(at(70), |w| {
+    straight.run_until(at(130), |w| {
         inj.poll(w);
     });
     let want = straight.save();
@@ -692,7 +633,7 @@ fn assert_packet_pex_blackout_differential(scheduler: Scheduler) {
     );
     let mut inj2 = FaultInjector::new(&plan);
     inj2.skip_to(applied);
-    restored.run_until(at(70), |w| {
+    restored.run_until(at(130), |w| {
         inj2.poll(w);
     });
     assert!(
@@ -700,16 +641,6 @@ fn assert_packet_pex_blackout_differential(scheduler: Scheduler) {
         "packet mid-blackout PEX restore diverged from straight run"
     );
     assert_eq!(straight.queue_stats(), restored.queue_stats());
-}
-
-#[test]
-fn packet_pex_snapshot_mid_blackout_heap() {
-    assert_packet_pex_blackout_differential(Scheduler::Heap);
-}
-
-#[test]
-fn packet_pex_snapshot_mid_blackout_wheel() {
-    assert_packet_pex_blackout_differential(Scheduler::Wheel);
 }
 
 // ----------------------------------------------------------------------
@@ -720,7 +651,7 @@ fn packet_pex_snapshot_mid_blackout_wheel() {
 /// produces the same blob as a single one.
 #[test]
 fn flow_double_round_trip_is_stable() {
-    let build = || fig3b_world(31, Scheduler::Wheel, SolverMode::Incremental);
+    let build = || fig3b_world(31);
     let mut w = build();
     w.run_until(at(35), |_| {});
     let b1 = w.save();
@@ -736,7 +667,7 @@ fn flow_double_round_trip_is_stable() {
 
 #[test]
 fn packet_double_round_trip_is_stable() {
-    let build = || packet_overlay_world(Scheduler::Heap, 13);
+    let build = || packet_overlay_world(13);
     let mut w = build();
     w.run_until(at(15), |_| {});
     let b1 = w.save();
@@ -754,11 +685,7 @@ fn flow_metrics_series_survive_restore() {
     let build = |m: &MetricsHandle| {
         let meta = Metainfo::synthetic("msnap.bin", "tr", 256 * 1024, 8 * MB, 2);
         let torrent = TorrentSpec::from_metainfo(&meta, 256 * 1024);
-        let cfg = FlowConfig {
-            scheduler: Scheduler::Wheel,
-            ..FlowConfig::default()
-        };
-        let mut w = FlowWorld::new(cfg, 2);
+        let mut w = FlowWorld::new(FlowConfig::default(), 2);
         w.set_metrics(m);
         let s = w.add_node(Access::campus());
         w.add_task(TaskSpec::default_client(s, torrent, true));
@@ -802,12 +729,7 @@ fn flow_random_snapshot_points_under_randomized_churn() {
     let root = SimRng::new(0x5A7_F00D);
     for case in 0..5u64 {
         let mut rng = root.fork(case);
-        let scheduler = if rng.chance(0.5) {
-            Scheduler::Heap
-        } else {
-            Scheduler::Wheel
-        };
-        let (mut straight, _tasks) = armed_world(100 + case, scheduler);
+        let (mut straight, _tasks) = armed_world(100 + case);
         let nodes: Vec<NodeId> = (0..3).map(NodeId).collect();
         let plan = FaultPlan::generate(
             case,
@@ -837,7 +759,7 @@ fn flow_random_snapshot_points_under_randomized_churn() {
         let straight_solver = straight.solver_stats();
         let straight_queue = straight.queue_stats();
 
-        let (mut restored, _tasks) = armed_world(100 + case, scheduler);
+        let (mut restored, _tasks) = armed_world(100 + case);
         restored.restore(&blob);
         // Round-trip fixed point at the snapshot instant.
         assert!(
@@ -865,19 +787,13 @@ fn flow_random_snapshot_points_under_randomized_churn() {
     }
 }
 
-/// Packet-world variant: random snapshot instants over the BT overlay
-/// with the two scheduler backends chosen per case.
+/// Packet-world variant: random snapshot instants over the BT overlay.
 #[test]
 fn packet_random_snapshot_points() {
     let root = SimRng::new(0x9AC4E7);
     for case in 0..4u64 {
         let mut rng = root.fork(case);
-        let scheduler = if rng.chance(0.5) {
-            Scheduler::Heap
-        } else {
-            Scheduler::Wheel
-        };
-        let build = || packet_overlay_world(scheduler, 200 + case);
+        let build = || packet_overlay_world(200 + case);
         let t_snap = SimTime::from_micros(rng.range(2_000_000..40_000_000u64));
         let horizon = at(55);
 
