@@ -11,13 +11,13 @@
 //!
 //! Everything comes from `p2p_simulation::experiments::registry`: each
 //! entry is an [`Experiment`](p2p_simulation::experiments::registry::Experiment)
-//! with a name, quick/paper parameter sets, and a canonical seed — the
-//! paper's figures, the engineering experiments (`scale`, `soak`,
-//! `service`, `exploit`, `erosion`, `blackout`), the diagnostics
-//! (`faults`, `snapshot`, `bisect`, `search`) and `ablations`.
+//! with a name and a canonical seed that runs at one of two presets,
+//! `Quick` or `Paper` — the paper's figures, the engineering experiments
+//! (`scale`, `soak`, `service`, `exploit`, `erosion`, `blackout`), the
+//! diagnostics (`faults`, `snapshot`, `bisect`, `search`) and `ablations`.
 //!
 //! * `--only <name>` runs just the entries whose name contains `<name>`.
-//! * `--paper` selects the paper-scale parameters.
+//! * `--paper` selects the paper-scale preset (the only experiment knob).
 //! * `--seed <u64>` overrides every selected entry's canonical seed —
 //!   how a failing seed from CI is replayed (same seed, byte-identical
 //!   schedule, tables and dumps).
@@ -29,9 +29,10 @@
 //! pattern that matches nothing — prints the usage and exits 2.
 //! Sweeps fan out across worker threads (`WP2P_THREADS` overrides the
 //! count; `WP2P_THREADS=1` is byte-identical to the parallel output).
-//! An entry that panics is reported and the process exits 1 after the
-//! remaining entries have run.
+//! An entry that panics, or whose metrics dump cannot be written, is
+//! reported and the process exits 1 after the remaining entries have run.
 
+use p2p_simulation::experiments::params::ExperimentParams;
 use p2p_simulation::experiments::registry;
 use p2p_simulation::harness;
 use std::path::PathBuf;
@@ -99,27 +100,30 @@ fn main() {
         if args.paper { "paper" } else { "quick" }
     );
 
+    let preset = if args.paper {
+        ExperimentParams::Paper
+    } else {
+        ExperimentParams::Quick
+    };
     let total_start = Instant::now();
     let mut failed = Vec::new();
     let (mut cells, mut cell_wall) = (0usize, 0f64);
     harness::take_stats(); // drop anything recorded before the run
     for e in selected {
         let name = e.name();
-        let params = if args.paper {
-            e.paper_params()
-        } else {
-            e.default_params()
-        };
         let seed = args.seed.unwrap_or_else(|| e.default_seed());
         let handle = metrics_handle(args.metrics_out.as_deref(), seed);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            e.run(&params, &handle, seed)
+            e.run(&preset, &handle, seed)
         }));
         match outcome {
             Ok(report) => {
                 report.print();
                 if let Some(dir) = &args.metrics_out {
-                    dump_metrics(dir, name, &handle);
+                    if let Err(err) = dump_metrics(dir, name, &handle) {
+                        eprintln!("METRICS DUMP FAILED: {name}: {err}");
+                        failed.push(name);
+                    }
                 }
             }
             Err(_) => {

@@ -476,39 +476,34 @@ pub fn seed_lihd_table(arms: &[SeedLihdArm]) -> Table {
 /// Canonical seed of the registry's `ablations` entry (the MF study's).
 pub const ABLATIONS_SEED: u64 = 0xAB1;
 
-/// The `ablations` entry's one knob: which preset each of the five
-/// studies takes its parameters from.
-pub fn ablations_params(paper: bool) -> ExperimentParams {
-    let mut p = ExperimentParams::new();
-    p.set_str("preset", if paper { "paper" } else { "quick" });
-    p
-}
-
-/// The registry's `ablations` entry: all five studies, one table each.
+/// The registry's `ablations` entry: all five studies, one table each,
+/// each taking its parameters from the selected preset.
 /// The AM and delayed-ACK studies re-run the fig8a/fig2a sweeps on those
 /// figures' own seeds; `seed` is the MF study's, and the two LIHD
 /// studies keep their pinned seeds at the canonical value and shift with
 /// it otherwise.
 pub fn ablations_report(params: &ExperimentParams, _: &MetricsHandle, seed: u64) -> Report {
-    let paper = params.str_or("preset", "quick") == "paper";
     let shift = seed ^ ABLATIONS_SEED;
-    let (mf, am, delack, lihd_mins, seed_lihd_mins) = if paper {
-        (
-            PlayabilityParams::paper_5mb(),
-            Fig8aParams::paper(),
-            Fig2aParams::paper(),
-            12,
-            15,
-        )
-    } else {
-        (
-            PlayabilityParams::quick_5mb(),
-            Fig8aParams::quick(),
-            Fig2aParams::quick(),
-            5,
-            6,
-        )
-    };
+    let (mf, am, delack, lihd_mins, seed_lihd_mins) = params.pick(
+        || {
+            (
+                PlayabilityParams::quick_5mb(),
+                Fig8aParams::quick(),
+                Fig2aParams::quick(),
+                5,
+                6,
+            )
+        },
+        || {
+            (
+                PlayabilityParams::paper_5mb(),
+                Fig8aParams::paper(),
+                Fig2aParams::paper(),
+                12,
+                15,
+            )
+        },
+    );
     Report {
         tables: vec![
             mf_table(&ablate_mf_schedules(&mf, seed)),

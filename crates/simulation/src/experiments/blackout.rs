@@ -30,7 +30,6 @@
 //! over the tracker-on arm's, per population.
 
 use super::common::synthetic_torrent;
-use super::params::{builder_setters, ExperimentParams};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskKey, TaskSpec};
 use crate::harness::SweepRunner;
 use crate::report::{pct, Table};
@@ -145,92 +144,7 @@ impl BlackoutParams {
             ..Self::quick()
         }
     }
-
-    /// Converts to the registry's untyped parameter map.
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        p.set_num("leeches", self.leeches as f64);
-        p.set_num("mobile_fraction", self.mobile_fraction);
-        p.set_num("file_size", self.file_size as f64);
-        p.set_num("piece_length", self.piece_length as f64);
-        p.set_num("seed_up", self.seed_up);
-        p.set_num("tracker_shards", self.tracker_shards as f64);
-        p.set_num("max_peers_returned", self.max_peers_returned as f64);
-        p.set_dur("announce_interval_s", self.announce_interval);
-        p.set_dur("min_announce_s", self.min_announce);
-        p.set_num("shed_capacity", self.shed_capacity as f64);
-        p.set_dur("shed_window_s", self.shed_window);
-        p.set_dur("gossip_interval_s", self.gossip_interval);
-        p.set_num("pex_max_entries", self.pex_max_entries as f64);
-        p.set_dur("pex_max_age_s", self.pex_max_age);
-        p.set_num("breaker_threshold", self.breaker_threshold as f64);
-        p.set_dur("breaker_cooloff_s", self.breaker_cooloff);
-        p.set_dur("handoff_period_s", self.handoff_period);
-        p.set_dur("handoff_outage_s", self.handoff_outage);
-        p.set_dur("failover_at_s", self.failover_at);
-        p.set_dur("failover_len_s", self.failover_len);
-        p.set_dur("blackout_at_s", self.blackout_at);
-        p.set_dur("horizon_s", self.horizon);
-        p.set_num("runs", self.runs as f64);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        let base = Self::quick();
-        BlackoutParams {
-            leeches: p.usize_or("leeches", base.leeches),
-            mobile_fraction: p.num_or("mobile_fraction", base.mobile_fraction),
-            file_size: p.u64_or("file_size", base.file_size),
-            piece_length: p.u32_or("piece_length", base.piece_length),
-            seed_up: p.num_or("seed_up", base.seed_up),
-            tracker_shards: p.usize_or("tracker_shards", base.tracker_shards),
-            max_peers_returned: p.usize_or("max_peers_returned", base.max_peers_returned),
-            announce_interval: p.dur_or("announce_interval_s", base.announce_interval),
-            min_announce: p.dur_or("min_announce_s", base.min_announce),
-            shed_capacity: p.u64_or("shed_capacity", base.shed_capacity),
-            shed_window: p.dur_or("shed_window_s", base.shed_window),
-            gossip_interval: p.dur_or("gossip_interval_s", base.gossip_interval),
-            pex_max_entries: p.usize_or("pex_max_entries", base.pex_max_entries),
-            pex_max_age: p.dur_or("pex_max_age_s", base.pex_max_age),
-            breaker_threshold: p.u32_or("breaker_threshold", base.breaker_threshold),
-            breaker_cooloff: p.dur_or("breaker_cooloff_s", base.breaker_cooloff),
-            handoff_period: p.dur_or("handoff_period_s", base.handoff_period),
-            handoff_outage: p.dur_or("handoff_outage_s", base.handoff_outage),
-            failover_at: p.dur_or("failover_at_s", base.failover_at),
-            failover_len: p.dur_or("failover_len_s", base.failover_len),
-            blackout_at: p.dur_or("blackout_at_s", base.blackout_at),
-            horizon: p.dur_or("horizon_s", base.horizon),
-            runs: p.u64_or("runs", base.runs),
-        }
-    }
 }
-
-builder_setters!(BlackoutParams {
-    leeches: usize,
-    mobile_fraction: f64,
-    file_size: u64,
-    piece_length: u32,
-    seed_up: f64,
-    tracker_shards: usize,
-    max_peers_returned: usize,
-    announce_interval: SimDuration,
-    min_announce: SimDuration,
-    shed_capacity: u64,
-    shed_window: SimDuration,
-    gossip_interval: SimDuration,
-    pex_max_entries: usize,
-    pex_max_age: SimDuration,
-    breaker_threshold: u32,
-    breaker_cooloff: SimDuration,
-    handoff_period: SimDuration,
-    handoff_outage: SimDuration,
-    failover_at: SimDuration,
-    failover_len: SimDuration,
-    blackout_at: SimDuration,
-    horizon: SimDuration,
-    runs: u64,
-});
 
 /// The four arms, in outcome order.
 pub const ARM_NAMES: [&str; 4] = ["on_fixed", "on_mobile", "dark_fixed", "dark_mobile"];
@@ -609,31 +523,18 @@ mod tests {
 
     /// A deliberately tiny ladder: seconds, not minutes, per arm.
     fn tiny() -> BlackoutParams {
-        BlackoutParams::quick()
-            .leeches(6)
-            .file_size(8 * 1024 * 1024)
-            .seed_up(128_000.0)
-            .shed_capacity(4)
-            .handoff_period(SimDuration::from_secs(50))
-            .failover_at(SimDuration::from_secs(60))
-            .failover_len(SimDuration::from_secs(120))
-            .blackout_at(SimDuration::from_secs(45))
-            .horizon(SimDuration::from_secs(480))
-    }
-
-    #[test]
-    fn params_round_trip() {
-        let p = BlackoutParams::paper();
-        let back = BlackoutParams::from_params(&p.to_params());
-        assert_eq!(p.leeches, back.leeches);
-        assert_eq!(p.mobile_fraction, back.mobile_fraction);
-        assert_eq!(p.tracker_shards, back.tracker_shards);
-        assert_eq!(p.shed_capacity, back.shed_capacity);
-        assert_eq!(p.gossip_interval, back.gossip_interval);
-        assert_eq!(p.breaker_threshold, back.breaker_threshold);
-        assert_eq!(p.blackout_at, back.blackout_at);
-        assert_eq!(p.horizon, back.horizon);
-        assert_eq!(p.runs, back.runs);
+        BlackoutParams {
+            leeches: 6,
+            file_size: 8 * 1024 * 1024,
+            seed_up: 128_000.0,
+            shed_capacity: 4,
+            handoff_period: SimDuration::from_secs(50),
+            failover_at: SimDuration::from_secs(60),
+            failover_len: SimDuration::from_secs(120),
+            blackout_at: SimDuration::from_secs(45),
+            horizon: SimDuration::from_secs(480),
+            ..BlackoutParams::quick()
+        }
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! seed, so the swarms are identical up to the defections.
 
 use super::common::{populate_swarm_with_mix, synthetic_torrent, SwarmSetup};
-use super::params::{builder_setters, ExperimentParams};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
 use crate::harness::SweepRunner;
 use crate::report::{mb, Table};
@@ -104,50 +103,7 @@ impl ErosionParams {
             runs: 3,
         }
     }
-
-    /// Converts to the registry's untyped parameter map.
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        p.set_list("shares", &self.shares);
-        p.set_num("file_size", self.file_size as f64);
-        p.set_num("piece_length", self.piece_length as f64);
-        p.set_swarm("swarm", &self.swarm);
-        p.set_dur("mobility_period_s", self.mobility_period);
-        p.set_dur("outage_s", self.outage);
-        p.set_dur("duration_s", self.duration);
-        p.set_num("wireless_capacity", self.wireless_capacity);
-        p.set_num("runs", self.runs as f64);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        let base = Self::quick();
-        ErosionParams {
-            shares: p.list_or("shares", &base.shares),
-            file_size: p.u64_or("file_size", base.file_size),
-            piece_length: p.u32_or("piece_length", base.piece_length),
-            swarm: p.swarm_or("swarm", &base.swarm),
-            mobility_period: p.dur_or("mobility_period_s", base.mobility_period),
-            outage: p.dur_or("outage_s", base.outage),
-            duration: p.dur_or("duration_s", base.duration),
-            wireless_capacity: p.num_or("wireless_capacity", base.wireless_capacity),
-            runs: p.u64_or("runs", base.runs),
-        }
-    }
 }
-
-builder_setters!(ErosionParams {
-    shares: Vec<f64>,
-    file_size: u64,
-    piece_length: u32,
-    swarm: SwarmSetup,
-    mobility_period: SimDuration,
-    outage: SimDuration,
-    duration: SimDuration,
-    wireless_capacity: f64,
-    runs: u64,
-});
 
 /// One share point's result (means over runs).
 #[derive(Clone, Debug, PartialEq)]
@@ -334,10 +290,10 @@ mod tests {
     use simnet::fault::{FaultInjector, FaultPlan, FaultPlanConfig};
 
     fn tiny() -> ErosionParams {
-        ErosionParams::quick()
-            .file_size(12 * 1024 * 1024)
-            .duration(SimDuration::from_mins(5))
-            .swarm(SwarmSetup {
+        ErosionParams {
+            file_size: 12 * 1024 * 1024,
+            duration: SimDuration::from_mins(5),
+            swarm: SwarmSetup {
                 seeds: 2,
                 seed_access: Access::Wired {
                     up: 100_000.0,
@@ -346,7 +302,9 @@ mod tests {
                 leeches: 8,
                 leech_access: Access::residential(),
                 leech_head_start: 0.5,
-            })
+            },
+            ..ErosionParams::quick()
+        }
     }
 
     #[test]

@@ -158,20 +158,14 @@ pub fn fault_table(seed: u64, flow: &FlowReplay, pkt: &PacketReplay) -> Table {
 /// Canonical seed of the registry's `faults` entry.
 pub const FAULTS_SEED: u64 = 42;
 
-/// The `faults` entry's one knob: the flow replay's horizon (the packet
-/// replay runs for at most 60 s of it).
-pub fn faults_params(horizon: SimDuration) -> ExperimentParams {
-    let mut p = ExperimentParams::new();
-    p.set_dur("horizon_s", horizon);
-    p
-}
-
 /// The registry's `faults` entry: replays the seed's plan into both
 /// worlds and reports the flow schedule ahead of the summary table.
-/// Only the flow world records into `metrics` — the packet replay
-/// restarts the clock at zero, and a dump's trace must stay monotone.
+/// The preset picks the flow replay's horizon (120 s quick, 600 s paper);
+/// the packet replay runs for at most 60 s of it. Only the flow world
+/// records into `metrics` — the packet replay restarts the clock at
+/// zero, and a dump's trace must stay monotone.
 pub fn faults_report(params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-    let horizon = params.dur_or("horizon_s", SimDuration::from_secs(120));
+    let horizon = SimDuration::from_secs(params.pick(|| 120, || 600));
     let flow = replay_flow_with(seed, horizon, metrics);
     let pkt = replay_packet(seed, horizon.min(SimDuration::from_secs(60)));
     Report {

@@ -11,7 +11,6 @@
 //!   working); the bi-directional one stays roughly flat because its
 //!   DUPACKs are sent as extra pure packets.
 
-use super::params::{builder_setters, ExperimentParams};
 use crate::harness::SweepRunner;
 use crate::packet::{PacketConfig, PacketWorld};
 use crate::report::{kbps, Table};
@@ -63,38 +62,7 @@ impl Fig2aParams {
             delayed_ack: false,
         }
     }
-
-    /// Converts to the registry's untyped parameter map.
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        p.set_list("bers", &self.bers);
-        p.set_num("runs", self.runs as f64);
-        p.set_dur("duration_s", self.duration);
-        p.set_num("channel_bytes_per_sec", self.channel_bytes_per_sec as f64);
-        p.set_bool("delayed_ack", self.delayed_ack);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        let base = Self::quick();
-        Fig2aParams {
-            bers: p.list_or("bers", &base.bers),
-            runs: p.u64_or("runs", base.runs),
-            duration: p.dur_or("duration_s", base.duration),
-            channel_bytes_per_sec: p.u64_or("channel_bytes_per_sec", base.channel_bytes_per_sec),
-            delayed_ack: p.bool_or("delayed_ack", base.delayed_ack),
-        }
-    }
 }
-
-builder_setters!(Fig2aParams {
-    bers: Vec<f64>,
-    runs: u64,
-    duration: SimDuration,
-    channel_bytes_per_sec: u64,
-    delayed_ack: bool,
-});
 
 /// One row of Fig. 2(a): throughput per arm at one BER.
 #[derive(Clone, Copy, Debug)]
@@ -263,35 +231,7 @@ impl Fig2bcParams {
     pub fn quick() -> Self {
         Self::paper()
     }
-
-    /// Converts to the registry's untyped parameter map.
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        p.set_dur("duration_s", self.duration);
-        p.set_dur("bucket_s", self.bucket);
-        p.set_num("channel_bytes_per_sec", self.channel_bytes_per_sec as f64);
-        p.set_num("queue_frames", self.queue_frames as f64);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        let base = Self::quick();
-        Fig2bcParams {
-            duration: p.dur_or("duration_s", base.duration),
-            bucket: p.dur_or("bucket_s", base.bucket),
-            channel_bytes_per_sec: p.u64_or("channel_bytes_per_sec", base.channel_bytes_per_sec),
-            queue_frames: p.usize_or("queue_frames", base.queue_frames),
-        }
-    }
 }
-
-builder_setters!(Fig2bcParams {
-    duration: SimDuration,
-    bucket: SimDuration,
-    channel_bytes_per_sec: u64,
-    queue_frames: usize,
-});
 
 /// Result of one Fig. 2(b)/(c) trace.
 #[derive(Clone, Debug)]
@@ -469,10 +409,12 @@ mod tests {
 
     #[test]
     fn fig2a_uni_beats_bi_and_ber_hurts() {
-        let params = Fig2aParams::quick()
-            .bers(vec![0.0, 2.0e-5])
-            .runs(2)
-            .duration(SimDuration::from_secs(20));
+        let params = Fig2aParams {
+            bers: vec![0.0, 2.0e-5],
+            runs: 2,
+            duration: SimDuration::from_secs(20),
+            ..Fig2aParams::quick()
+        };
         let pts = run_fig2a_plain(&params);
         assert_eq!(pts.len(), 2);
         for p in &pts {
@@ -514,10 +456,12 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let params = Fig2aParams::quick()
-            .bers(vec![0.0])
-            .runs(1)
-            .duration(SimDuration::from_secs(5));
+        let params = Fig2aParams {
+            bers: vec![0.0],
+            runs: 1,
+            duration: SimDuration::from_secs(5),
+            ..Fig2aParams::quick()
+        };
         let pts = run_fig2a_plain(&params);
         let t = fig2a_table(&pts);
         assert_eq!(t.len(), 1);
@@ -527,24 +471,16 @@ mod tests {
     }
 
     #[test]
-    fn fig2_params_round_trip() {
-        let p = Fig2aParams::paper();
-        let q = Fig2aParams::from_params(&p.to_params());
-        assert_eq!(p.to_params(), q.to_params());
-        let p = Fig2bcParams::paper();
-        let q = Fig2bcParams::from_params(&p.to_params());
-        assert_eq!(p.to_params(), q.to_params());
-    }
-
-    #[test]
     fn fig2a_metrics_dump_is_byte_identical_across_runs() {
         // The --metrics-out acceptance pin: two identically-seeded runs
         // must emit byte-identical JSON and CSV dumps, worker count
         // notwithstanding, and carry cwnd/RTT/throughput series.
-        let params = Fig2aParams::quick()
-            .bers(vec![1.0e-5])
-            .runs(1)
-            .duration(SimDuration::from_secs(10));
+        let params = Fig2aParams {
+            bers: vec![1.0e-5],
+            runs: 1,
+            duration: SimDuration::from_secs(10),
+            ..Fig2aParams::quick()
+        };
         let dump = || {
             let h = MetricsHandle::enabled(FIG2A_SEED);
             run_fig2a_with(&params, &h, FIG2A_SEED);

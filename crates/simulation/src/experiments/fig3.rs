@@ -14,7 +14,6 @@
 //!   two mobility arms collapse together.
 
 use super::common::{populate_swarm, synthetic_torrent, SwarmSetup};
-use super::params::{builder_setters, ExperimentParams};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
 use crate::harness::SweepRunner;
 use crate::report::{kbps, mb, Table};
@@ -96,44 +95,7 @@ impl Fig3abParams {
             runs: 3,
         }
     }
-
-    /// Converts to the registry's untyped parameter map.
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        p.set_list("fractions", &self.fractions);
-        p.set_num("tasks", self.tasks as f64);
-        p.set_num("file_size", self.file_size as f64);
-        p.set_num("piece_length", self.piece_length as f64);
-        p.set_swarm("swarm", &self.swarm);
-        p.set_dur("duration_s", self.duration);
-        p.set_num("runs", self.runs as f64);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        let base = Self::quick();
-        Fig3abParams {
-            fractions: p.list_or("fractions", &base.fractions),
-            tasks: p.usize_or("tasks", base.tasks),
-            file_size: p.u64_or("file_size", base.file_size),
-            piece_length: p.u32_or("piece_length", base.piece_length),
-            swarm: p.swarm_or("swarm", &base.swarm),
-            duration: p.dur_or("duration_s", base.duration),
-            runs: p.u64_or("runs", base.runs),
-        }
-    }
 }
-
-builder_setters!(Fig3abParams {
-    fractions: Vec<f64>,
-    tasks: usize,
-    file_size: u64,
-    piece_length: u32,
-    swarm: SwarmSetup,
-    duration: SimDuration,
-    runs: u64,
-});
 
 /// One point of Fig. 3(a)/(b).
 #[derive(Clone, Copy, Debug)]
@@ -350,44 +312,7 @@ impl Fig3cParams {
             wireless_capacity: 250_000.0,
         }
     }
-
-    /// Converts to the registry's untyped parameter map.
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        p.set_num("file_size", self.file_size as f64);
-        p.set_num("piece_length", self.piece_length as f64);
-        p.set_dur("duration_s", self.duration);
-        p.set_dur("mobility_period_s", self.mobility_period);
-        p.set_dur("outage_s", self.outage);
-        p.set_swarm("swarm", &self.swarm);
-        p.set_num("wireless_capacity", self.wireless_capacity);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        let base = Self::quick();
-        Fig3cParams {
-            file_size: p.u64_or("file_size", base.file_size),
-            piece_length: p.u32_or("piece_length", base.piece_length),
-            duration: p.dur_or("duration_s", base.duration),
-            mobility_period: p.dur_or("mobility_period_s", base.mobility_period),
-            outage: p.dur_or("outage_s", base.outage),
-            swarm: p.swarm_or("swarm", &base.swarm),
-            wireless_capacity: p.num_or("wireless_capacity", base.wireless_capacity),
-        }
-    }
 }
-
-builder_setters!(Fig3cParams {
-    file_size: u64,
-    piece_length: u32,
-    duration: SimDuration,
-    mobility_period: SimDuration,
-    outage: SimDuration,
-    swarm: SwarmSetup,
-    wireless_capacity: f64,
-});
 
 /// The four arms of Fig. 3(c).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -549,7 +474,11 @@ mod tests {
     use super::*;
 
     fn tiny_3ab() -> Fig3abParams {
-        Fig3abParams::quick().fractions(vec![0.1, 0.9]).runs(1)
+        Fig3abParams {
+            fractions: vec![0.1, 0.9],
+            runs: 1,
+            ..Fig3abParams::quick()
+        }
     }
 
     fn run_fig3a_plain(params: &Fig3abParams) -> Vec<Fig3abPoint> {
@@ -626,20 +555,10 @@ mod tests {
     }
 
     #[test]
-    fn fig3c_params_round_trip() {
-        let p = Fig3cParams::paper();
-        let q = Fig3cParams::from_params(&p.to_params());
-        assert_eq!(p.to_params(), q.to_params());
-        let p = Fig3abParams::paper();
-        let q = Fig3abParams::from_params(&p.to_params());
-        assert_eq!(p.to_params(), q.to_params());
-    }
-
-    #[test]
     fn fig3c_arms_order_correctly() {
-        let params = Fig3cParams::quick()
-            .duration(SimDuration::from_mins(6))
-            .swarm(SwarmSetup {
+        let params = Fig3cParams {
+            duration: SimDuration::from_mins(6),
+            swarm: SwarmSetup {
                 seeds: 1,
                 seed_access: Access::Wired {
                     up: 60_000.0,
@@ -648,8 +567,10 @@ mod tests {
                 leeches: 4,
                 leech_access: Access::residential(),
                 leech_head_start: 0.5,
-            })
-            .wireless_capacity(120_000.0);
+            },
+            wireless_capacity: 120_000.0,
+            ..Fig3cParams::quick()
+        };
         let results = run_fig3c_with(&params, &MetricsHandle::disabled(), 3);
         let get = |mob: bool, up: bool| {
             results

@@ -12,7 +12,6 @@
 //!   [`super::playability`]).
 
 use super::common::synthetic_torrent;
-use super::params::{builder_setters, decode_opt_periods, encode_opt_periods, ExperimentParams};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
 use crate::harness::SweepRunner;
 use crate::report::{kbps, Table};
@@ -89,47 +88,7 @@ impl Fig4aParams {
             tracker_interval: SimDuration::from_secs(120),
         }
     }
-
-    /// Converts to the registry's untyped parameter map (`None` periods
-    /// encode as `-1`).
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        p.set_list("periods_s", &encode_opt_periods(&self.periods));
-        p.set_num("seeds", self.seeds as f64);
-        p.set_num("seed_capacity", self.seed_capacity);
-        p.set_dur("outage_s", self.outage);
-        p.set_dur("duration_s", self.duration);
-        p.set_num("runs", self.runs as f64);
-        p.set_dur("tracker_interval_s", self.tracker_interval);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        let base = Self::quick();
-        Fig4aParams {
-            periods: decode_opt_periods(
-                &p.list_or("periods_s", &encode_opt_periods(&base.periods)),
-            ),
-            seeds: p.usize_or("seeds", base.seeds),
-            seed_capacity: p.num_or("seed_capacity", base.seed_capacity),
-            outage: p.dur_or("outage_s", base.outage),
-            duration: p.dur_or("duration_s", base.duration),
-            runs: p.u64_or("runs", base.runs),
-            tracker_interval: p.dur_or("tracker_interval_s", base.tracker_interval),
-        }
-    }
 }
-
-builder_setters!(Fig4aParams {
-    periods: Vec<Option<SimDuration>>,
-    seeds: usize,
-    seed_capacity: f64,
-    outage: SimDuration,
-    duration: SimDuration,
-    runs: u64,
-    tracker_interval: SimDuration,
-});
 
 /// One point of Fig. 4(a).
 #[derive(Clone, Copy, Debug)]
@@ -251,9 +210,11 @@ mod tests {
 
     #[test]
     fn fig4a_mobility_degrades_fixed_peer_throughput() {
-        let params = Fig4aParams::quick()
-            .periods(vec![None, Some(SimDuration::from_secs(45))])
-            .duration(SimDuration::from_mins(8));
+        let params = Fig4aParams {
+            periods: vec![None, Some(SimDuration::from_secs(45))],
+            duration: SimDuration::from_mins(8),
+            ..Fig4aParams::quick()
+        };
         let pts = run_fig4a_with(&params, &MetricsHandle::disabled(), FIG4A_SEED);
         let baseline = pts[0].all_mobile.mean;
         let fast_one = pts[1].one_mobile.mean;
@@ -268,14 +229,5 @@ mod tests {
         );
         let t = fig4a_table(&pts);
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn fig4a_params_round_trip() {
-        let p = Fig4aParams::paper();
-        let q = Fig4aParams::from_params(
-            &ExperimentParams::from_json(&p.to_params().to_json()).unwrap(),
-        );
-        assert_eq!(format!("{p:?}"), format!("{q:?}"));
     }
 }

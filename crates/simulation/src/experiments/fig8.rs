@@ -18,7 +18,6 @@
 //!   operating point (paper: up to +70% at 200 KB/s).
 
 use super::common::{populate_swarm, synthetic_torrent, SwarmSetup};
-use super::params::{builder_setters, ExperimentParams};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
 use crate::harness::{run_seed, SweepRunner};
 use crate::packet::{PacketConfig, PacketWorld};
@@ -87,41 +86,7 @@ impl Fig8aParams {
             runs: 5,
         }
     }
-
-    /// Converts to the registry's untyped parameter map.
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        p.set_list("bers", &self.bers);
-        p.set_num("file_size", self.file_size as f64);
-        p.set_num("piece_length", self.piece_length as f64);
-        p.set_num("channel_bytes_per_sec", self.channel_bytes_per_sec as f64);
-        p.set_dur("duration_s", self.duration);
-        p.set_num("runs", self.runs as f64);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        let base = Self::quick();
-        Fig8aParams {
-            bers: p.list_or("bers", &base.bers),
-            file_size: p.u64_or("file_size", base.file_size),
-            piece_length: p.u32_or("piece_length", base.piece_length),
-            channel_bytes_per_sec: p.u64_or("channel_bytes_per_sec", base.channel_bytes_per_sec),
-            duration: p.dur_or("duration_s", base.duration),
-            runs: p.u64_or("runs", base.runs),
-        }
-    }
 }
-
-builder_setters!(Fig8aParams {
-    bers: Vec<f64>,
-    file_size: u64,
-    piece_length: u32,
-    channel_bytes_per_sec: u64,
-    duration: SimDuration,
-    runs: u64,
-});
 
 /// One Fig. 8(a) point.
 #[derive(Clone, Copy, Debug)]
@@ -330,44 +295,7 @@ impl Fig8bParams {
             wireless_capacity: 500_000.0,
         }
     }
-
-    /// Converts to the registry's untyped parameter map.
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        p.set_num("file_size", self.file_size as f64);
-        p.set_num("piece_length", self.piece_length as f64);
-        p.set_swarm("swarm", &self.swarm);
-        p.set_dur("mobility_period_s", self.mobility_period);
-        p.set_dur("outage_s", self.outage);
-        p.set_dur("duration_s", self.duration);
-        p.set_num("wireless_capacity", self.wireless_capacity);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        let base = Self::quick();
-        Fig8bParams {
-            file_size: p.u64_or("file_size", base.file_size),
-            piece_length: p.u32_or("piece_length", base.piece_length),
-            swarm: p.swarm_or("swarm", &base.swarm),
-            mobility_period: p.dur_or("mobility_period_s", base.mobility_period),
-            outage: p.dur_or("outage_s", base.outage),
-            duration: p.dur_or("duration_s", base.duration),
-            wireless_capacity: p.num_or("wireless_capacity", base.wireless_capacity),
-        }
-    }
 }
-
-builder_setters!(Fig8bParams {
-    file_size: u64,
-    piece_length: u32,
-    swarm: SwarmSetup,
-    mobility_period: SimDuration,
-    outage: SimDuration,
-    duration: SimDuration,
-    wireless_capacity: f64,
-});
 
 /// Result of Fig. 8(b): series for both clients (single typical run, both
 /// in the same swarm, as in the paper).
@@ -533,41 +461,7 @@ impl Fig8cParams {
             runs: 10,
         }
     }
-
-    /// Converts to the registry's untyped parameter map.
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        p.set_list("capacities", &self.capacities);
-        p.set_num("file_size", self.file_size as f64);
-        p.set_num("piece_length", self.piece_length as f64);
-        p.set_swarm("swarm", &self.swarm);
-        p.set_dur("duration_s", self.duration);
-        p.set_num("runs", self.runs as f64);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        let base = Self::quick();
-        Fig8cParams {
-            capacities: p.list_or("capacities", &base.capacities),
-            file_size: p.u64_or("file_size", base.file_size),
-            piece_length: p.u32_or("piece_length", base.piece_length),
-            swarm: p.swarm_or("swarm", &base.swarm),
-            duration: p.dur_or("duration_s", base.duration),
-            runs: p.u64_or("runs", base.runs),
-        }
-    }
 }
-
-builder_setters!(Fig8cParams {
-    capacities: Vec<f64>,
-    file_size: u64,
-    piece_length: u32,
-    swarm: SwarmSetup,
-    duration: SimDuration,
-    runs: u64,
-});
 
 /// One Fig. 8(c) point.
 #[derive(Clone, Copy, Debug)]
@@ -711,9 +605,11 @@ mod tests {
 
     #[test]
     fn fig8b_retention_downloads_at_least_as_much() {
-        let p = Fig8bParams::quick()
-            .duration(SimDuration::from_mins(8))
-            .file_size(48 * 1024 * 1024);
+        let p = Fig8bParams {
+            duration: SimDuration::from_mins(8),
+            file_size: 48 * 1024 * 1024,
+            ..Fig8bParams::quick()
+        };
         let r = run_fig8b_with(&p, &MetricsHandle::disabled(), 5);
         assert!(r.wp2p_bytes > 0 && r.default_bytes > 0);
         assert!(
@@ -765,24 +661,5 @@ mod tests {
             tight.wp2p.mean,
             tight.default.mean
         );
-    }
-
-    #[test]
-    fn fig8_params_round_trip() {
-        let a = Fig8aParams::paper();
-        let a2 = Fig8aParams::from_params(
-            &ExperimentParams::from_json(&a.to_params().to_json()).unwrap(),
-        );
-        assert_eq!(format!("{a:?}"), format!("{a2:?}"));
-        let b = Fig8bParams::paper();
-        let b2 = Fig8bParams::from_params(
-            &ExperimentParams::from_json(&b.to_params().to_json()).unwrap(),
-        );
-        assert_eq!(format!("{b:?}"), format!("{b2:?}"));
-        let c = Fig8cParams::paper();
-        let c2 = Fig8cParams::from_params(
-            &ExperimentParams::from_json(&c.to_params().to_json()).unwrap(),
-        );
-        assert_eq!(format!("{c:?}"), format!("{c2:?}"));
     }
 }

@@ -11,7 +11,6 @@
 //!   stored peers the moment it reconnects.
 
 use super::common::{synthetic_torrent, SwarmSetup};
-use super::params::{builder_setters, decode_periods, encode_periods, ExperimentParams};
 use super::playability::{run_playability_with, PlayabilityCurve, PlayabilityParams};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
 use crate::harness::SweepRunner;
@@ -146,50 +145,7 @@ impl Fig9cParams {
             tracker_interval: SimDuration::from_secs(150),
         }
     }
-
-    /// Converts to the registry's untyped parameter map.
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        p.set_list("periods_s", &encode_periods(&self.periods));
-        p.set_num("file_size", self.file_size as f64);
-        p.set_num("piece_length", self.piece_length as f64);
-        p.set_swarm("swarm", &self.swarm);
-        p.set_num("seed_capacity", self.seed_capacity);
-        p.set_dur("outage_s", self.outage);
-        p.set_dur("duration_s", self.duration);
-        p.set_num("runs", self.runs as f64);
-        p.set_dur("tracker_interval_s", self.tracker_interval);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        let base = Self::quick();
-        Fig9cParams {
-            periods: decode_periods(&p.list_or("periods_s", &encode_periods(&base.periods))),
-            file_size: p.u64_or("file_size", base.file_size),
-            piece_length: p.u32_or("piece_length", base.piece_length),
-            swarm: p.swarm_or("swarm", &base.swarm),
-            seed_capacity: p.num_or("seed_capacity", base.seed_capacity),
-            outage: p.dur_or("outage_s", base.outage),
-            duration: p.dur_or("duration_s", base.duration),
-            runs: p.u64_or("runs", base.runs),
-            tracker_interval: p.dur_or("tracker_interval_s", base.tracker_interval),
-        }
-    }
 }
-
-builder_setters!(Fig9cParams {
-    periods: Vec<SimDuration>,
-    file_size: u64,
-    piece_length: u32,
-    swarm: SwarmSetup,
-    seed_capacity: f64,
-    outage: SimDuration,
-    duration: SimDuration,
-    runs: u64,
-    tracker_interval: SimDuration,
-});
 
 /// One Fig. 9(c) point.
 #[derive(Clone, Copy, Debug)]
@@ -321,9 +277,11 @@ mod tests {
 
     #[test]
     fn fig9c_role_reversal_restores_upload_throughput() {
-        let params = Fig9cParams::quick()
-            .periods(vec![SimDuration::from_secs(90)])
-            .duration(SimDuration::from_mins(8));
+        let params = Fig9cParams {
+            periods: vec![SimDuration::from_secs(90)],
+            duration: SimDuration::from_mins(8),
+            ..Fig9cParams::quick()
+        };
         let pts = run_fig9c_with(&params, &MetricsHandle::disabled(), FIG9C_SEED);
         let p = &pts[0];
         assert!(
@@ -338,7 +296,10 @@ mod tests {
 
     #[test]
     fn fig9ab_quick_panel_shapes() {
-        let params = PlayabilityParams::quick_5mb().runs(2);
+        let params = PlayabilityParams {
+            runs: 2,
+            ..PlayabilityParams::quick_5mb()
+        };
         let r = run_fig9ab_with(&params, &MetricsHandle::disabled(), 0x9AB);
         let d50 = r.default_curve.playable_at(0.5);
         let w50 = r.wp2p_curve.playable_at(0.5);
@@ -347,14 +308,5 @@ mod tests {
             "MF must beat rarest-first at 50%: mf={w50} default={d50}"
         );
         assert!(fig9ab_table("t", &r).len() == params.grid);
-    }
-
-    #[test]
-    fn fig9c_params_round_trip() {
-        let p = Fig9cParams::paper();
-        let q = Fig9cParams::from_params(
-            &ExperimentParams::from_json(&p.to_params().to_json()).unwrap(),
-        );
-        assert_eq!(format!("{p:?}"), format!("{q:?}"));
     }
 }

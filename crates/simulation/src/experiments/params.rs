@@ -1,373 +1,26 @@
-//! Untyped experiment parameters with a JSON round-trip.
+//! The experiment presets.
 //!
-//! Every figure's typed `FigXxParams` struct converts to and from
-//! [`ExperimentParams`] — a flat, ordered key → [`ParamValue`] map — so
-//! the [`super::registry`] can expose one uniform parameter surface
-//! (`default_params()` / `paper_params()` / `run(&params, …)`) and
-//! callers can serialise a configuration, edit it, and feed it back.
-//!
-//! Conventions used by the typed conversions:
-//!
-//! * durations are stored in **seconds** under keys ending `_s`;
-//! * sizes and counts are stored as JSON numbers (all values in this
-//!   codebase are well under the 2^53 exact-integer limit);
-//! * an [`Access`] is a string, `"wired:<up>:<down>"` or
-//!   `"wireless:<capacity>"` (bytes/second, shortest-round-trip floats);
-//! * a [`SwarmSetup`] spreads over five keys under a prefix
-//!   (`<prefix>.seeds`, `.seed_access`, `.leeches`, `.leech_access`,
-//!   `.head_start`);
-//! * an optional duration list (Fig. 4(a)'s hand-off periods) encodes
-//!   `None` as a negative number.
+//! Every registry entry runs at exactly two scales: `Quick` (CI-sized,
+//! the default) and `Paper` (what `all_figures --paper` selects). Each
+//! figure keeps its knobs in a typed `*Params` struct with `quick()` and
+//! `paper()` constructors; an entry's run closure turns the preset into
+//! that struct with [`ExperimentParams::pick`].
 
-use super::common::SwarmSetup;
-use crate::flow::Access;
-use metrics::json::Json;
-use simnet::time::SimDuration;
-use std::collections::BTreeMap;
-
-/// One untyped parameter value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ParamValue {
-    /// A boolean flag.
-    Bool(bool),
-    /// A number (integers are exact up to 2^53).
-    Num(f64),
-    /// A string (used for access-network encodings).
-    Str(String),
-    /// A list of numbers (sweep axes).
-    List(Vec<f64>),
-}
-
-/// A flat, ordered parameter map with a JSON round-trip.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ExperimentParams {
-    values: BTreeMap<String, ParamValue>,
+/// Which preset a registry entry runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ExperimentParams {
+    /// The CI-sized preset.
+    Quick,
+    /// The paper-scale preset.
+    Paper,
 }
 
 impl ExperimentParams {
-    /// An empty parameter map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when no parameters are set.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Iterates `(key, value)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &ParamValue)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Sets a boolean.
-    pub fn set_bool(&mut self, key: &str, v: bool) {
-        self.values.insert(key.to_string(), ParamValue::Bool(v));
-    }
-
-    /// Sets a number.
-    pub fn set_num(&mut self, key: &str, v: f64) {
-        self.values.insert(key.to_string(), ParamValue::Num(v));
-    }
-
-    /// Sets a string.
-    pub fn set_str(&mut self, key: &str, v: &str) {
-        self.values
-            .insert(key.to_string(), ParamValue::Str(v.to_string()));
-    }
-
-    /// Sets a number list.
-    pub fn set_list(&mut self, key: &str, v: &[f64]) {
-        self.values
-            .insert(key.to_string(), ParamValue::List(v.to_vec()));
-    }
-
-    /// Sets a duration, stored in seconds.
-    pub fn set_dur(&mut self, key: &str, v: SimDuration) {
-        self.set_num(key, v.as_secs_f64());
-    }
-
-    /// Sets an access network (`"wired:<up>:<down>"` /
-    /// `"wireless:<capacity>"`).
-    pub fn set_access(&mut self, key: &str, access: Access) {
-        let s = match access {
-            Access::Wired { up, down } => format!("wired:{up:?}:{down:?}"),
-            Access::Wireless { capacity } => format!("wireless:{capacity:?}"),
-        };
-        self.values.insert(key.to_string(), ParamValue::Str(s));
-    }
-
-    /// Sets a swarm setup under `<prefix>.…` keys.
-    pub fn set_swarm(&mut self, prefix: &str, swarm: &SwarmSetup) {
-        self.set_num(&format!("{prefix}.seeds"), swarm.seeds as f64);
-        self.set_access(&format!("{prefix}.seed_access"), swarm.seed_access);
-        self.set_num(&format!("{prefix}.leeches"), swarm.leeches as f64);
-        self.set_access(&format!("{prefix}.leech_access"), swarm.leech_access);
-        self.set_num(&format!("{prefix}.head_start"), swarm.leech_head_start);
-    }
-
-    /// Boolean at `key`, or `default` when absent or mistyped.
-    pub fn bool_or(&self, key: &str, default: bool) -> bool {
-        match self.values.get(key) {
-            Some(ParamValue::Bool(v)) => *v,
-            _ => default,
+    /// Builds the value for this preset: `quick()` or `paper()`.
+    pub fn pick<T>(self, quick: impl FnOnce() -> T, paper: impl FnOnce() -> T) -> T {
+        match self {
+            ExperimentParams::Quick => quick(),
+            ExperimentParams::Paper => paper(),
         }
-    }
-
-    /// Number at `key`, or `default`.
-    pub fn num_or(&self, key: &str, default: f64) -> f64 {
-        match self.values.get(key) {
-            Some(ParamValue::Num(v)) => *v,
-            _ => default,
-        }
-    }
-
-    /// Number at `key` as u64 (sizes, run counts), or `default`.
-    pub fn u64_or(&self, key: &str, default: u64) -> u64 {
-        self.num_or(key, default as f64) as u64
-    }
-
-    /// Number at `key` as usize, or `default`.
-    pub fn usize_or(&self, key: &str, default: usize) -> usize {
-        self.num_or(key, default as f64) as usize
-    }
-
-    /// Number at `key` as u32 (piece lengths), or `default`.
-    pub fn u32_or(&self, key: &str, default: u32) -> u32 {
-        self.num_or(key, default as f64) as u32
-    }
-
-    /// String at `key`, or `default`.
-    pub fn str_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        match self.values.get(key) {
-            Some(ParamValue::Str(v)) => v,
-            _ => default,
-        }
-    }
-
-    /// Number list at `key`, or a copy of `default`.
-    pub fn list_or(&self, key: &str, default: &[f64]) -> Vec<f64> {
-        match self.values.get(key) {
-            Some(ParamValue::List(v)) => v.clone(),
-            _ => default.to_vec(),
-        }
-    }
-
-    /// Duration at `key` (stored as seconds), or `default`.
-    pub fn dur_or(&self, key: &str, default: SimDuration) -> SimDuration {
-        match self.values.get(key) {
-            Some(ParamValue::Num(v)) if *v >= 0.0 => SimDuration::from_secs_f64(*v),
-            _ => default,
-        }
-    }
-
-    /// Access network at `key`, or `default` when absent or unparsable.
-    pub fn access_or(&self, key: &str, default: Access) -> Access {
-        let Some(ParamValue::Str(s)) = self.values.get(key) else {
-            return default;
-        };
-        let parts: Vec<&str> = s.split(':').collect();
-        match parts.as_slice() {
-            ["wired", up, down] => match (up.parse(), down.parse()) {
-                (Ok(up), Ok(down)) => Access::Wired { up, down },
-                _ => default,
-            },
-            ["wireless", cap] => match cap.parse() {
-                Ok(capacity) => Access::Wireless { capacity },
-                _ => default,
-            },
-            _ => default,
-        }
-    }
-
-    /// Swarm setup under `<prefix>.…`, with `default` filling gaps.
-    pub fn swarm_or(&self, prefix: &str, default: &SwarmSetup) -> SwarmSetup {
-        SwarmSetup {
-            seeds: self.usize_or(&format!("{prefix}.seeds"), default.seeds),
-            seed_access: self.access_or(&format!("{prefix}.seed_access"), default.seed_access),
-            leeches: self.usize_or(&format!("{prefix}.leeches"), default.leeches),
-            leech_access: self.access_or(&format!("{prefix}.leech_access"), default.leech_access),
-            leech_head_start: self
-                .num_or(&format!("{prefix}.head_start"), default.leech_head_start),
-        }
-    }
-
-    /// Renders the map as a JSON object with sorted keys.
-    pub fn to_json(&self) -> String {
-        let mut obj = BTreeMap::new();
-        for (k, v) in &self.values {
-            let jv = match v {
-                ParamValue::Bool(b) => Json::Bool(*b),
-                ParamValue::Num(n) => Json::Num(*n),
-                ParamValue::Str(s) => Json::Str(s.clone()),
-                ParamValue::List(xs) => Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect()),
-            };
-            obj.insert(k.clone(), jv);
-        }
-        Json::Obj(obj).render()
-    }
-
-    /// Parses a JSON object produced by [`Self::to_json`] (or edited by
-    /// hand). Rejects nested objects, nulls, and non-numeric arrays.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let json = Json::parse(text)?;
-        let Json::Obj(obj) = json else {
-            return Err("experiment params must be a JSON object".to_string());
-        };
-        let mut out = ExperimentParams::new();
-        for (k, v) in obj {
-            let pv = match v {
-                Json::Bool(b) => ParamValue::Bool(b),
-                Json::Num(n) => ParamValue::Num(n),
-                Json::Str(s) => ParamValue::Str(s),
-                Json::Arr(xs) => {
-                    let mut nums = Vec::with_capacity(xs.len());
-                    for x in xs {
-                        match x {
-                            Json::Num(n) => nums.push(n),
-                            other => {
-                                return Err(format!(
-                                    "param {k:?}: list elements must be numbers, got {other:?}"
-                                ))
-                            }
-                        }
-                    }
-                    ParamValue::List(nums)
-                }
-                other => return Err(format!("param {k:?}: unsupported value {other:?}")),
-            };
-            out.values.insert(k, pv);
-        }
-        Ok(out)
-    }
-}
-
-/// Encodes optional hand-off periods (Fig. 4(a)) as a number list:
-/// seconds, with `None` (stationary baseline) as `-1`.
-pub fn encode_opt_periods(periods: &[Option<SimDuration>]) -> Vec<f64> {
-    periods
-        .iter()
-        .map(|p| p.map(|d| d.as_secs_f64()).unwrap_or(-1.0))
-        .collect()
-}
-
-/// Inverse of [`encode_opt_periods`].
-pub fn decode_opt_periods(xs: &[f64]) -> Vec<Option<SimDuration>> {
-    xs.iter()
-        .map(|&x| (x >= 0.0).then(|| SimDuration::from_secs_f64(x)))
-        .collect()
-}
-
-/// Encodes durations as seconds.
-pub fn encode_periods(periods: &[SimDuration]) -> Vec<f64> {
-    periods.iter().map(|p| p.as_secs_f64()).collect()
-}
-
-/// Inverse of [`encode_periods`].
-pub fn decode_periods(xs: &[f64]) -> Vec<SimDuration> {
-    xs.iter().map(|&x| SimDuration::from_secs_f64(x)).collect()
-}
-
-/// Generates consuming builder-style setters, one per listed field, so
-/// every `FigXxParams` offers the same `Params::quick().field(v)…`
-/// construction surface.
-macro_rules! builder_setters {
-    ($ty:ty { $($(#[$meta:meta])* $field:ident : $fty:ty),* $(,)? }) => {
-        impl $ty {
-            $(
-                $(#[$meta])*
-                #[doc = concat!("Builder-style setter for `", stringify!($field), "`.")]
-                #[must_use]
-                pub fn $field(mut self, $field: $fty) -> Self {
-                    self.$field = $field;
-                    self
-                }
-            )*
-        }
-    };
-}
-pub(crate) use builder_setters;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_round_trip_preserves_everything() {
-        let mut p = ExperimentParams::new();
-        p.set_bool("delayed_ack", true);
-        p.set_num("runs", 5.0);
-        p.set_list("bers", &[0.0, 1.0e-5, 2.0e-5]);
-        p.set_dur("duration_s", SimDuration::from_secs(120));
-        p.set_access(
-            "client_access",
-            Access::Wireless {
-                capacity: 200_000.0,
-            },
-        );
-        let text = p.to_json();
-        let q = ExperimentParams::from_json(&text).expect("round trip parses");
-        assert_eq!(p, q);
-        assert_eq!(text, q.to_json(), "render must be stable");
-    }
-
-    #[test]
-    fn typed_getters_fall_back_to_defaults() {
-        let p = ExperimentParams::new();
-        assert_eq!(p.u64_or("runs", 3), 3);
-        assert!(p.bool_or("x", true));
-        assert_eq!(
-            p.dur_or("d", SimDuration::from_secs(9)).as_micros(),
-            9_000_000
-        );
-        let a = p.access_or("a", Access::residential());
-        assert!(matches!(a, Access::Wired { .. }));
-    }
-
-    #[test]
-    fn access_and_swarm_round_trip() {
-        let swarm = SwarmSetup {
-            seeds: 2,
-            seed_access: Access::Wired {
-                up: 30_000.0,
-                down: 500_000.0,
-            },
-            leeches: 16,
-            leech_access: Access::residential(),
-            leech_head_start: 0.6,
-        };
-        let mut p = ExperimentParams::new();
-        p.set_swarm("swarm", &swarm);
-        let back = p.swarm_or("swarm", &SwarmSetup::small());
-        assert_eq!(back.seeds, 2);
-        assert_eq!(back.leeches, 16);
-        assert!((back.leech_head_start - 0.6).abs() < 1e-12);
-        match back.seed_access {
-            Access::Wired { up, down } => {
-                assert_eq!(up, 30_000.0);
-                assert_eq!(down, 500_000.0);
-            }
-            _ => panic!("seed access should stay wired"),
-        }
-    }
-
-    #[test]
-    fn optional_periods_encode_none_as_negative() {
-        let periods = vec![None, Some(SimDuration::from_secs(120))];
-        let xs = encode_opt_periods(&periods);
-        assert_eq!(xs, vec![-1.0, 120.0]);
-        assert_eq!(decode_opt_periods(&xs), periods);
-    }
-
-    #[test]
-    fn malformed_json_is_rejected() {
-        assert!(ExperimentParams::from_json("[1, 2]").is_err());
-        assert!(ExperimentParams::from_json("{\"a\": {\"b\": 1}}").is_err());
-        assert!(ExperimentParams::from_json("{\"a\": [\"x\"]}").is_err());
     }
 }

@@ -4,7 +4,6 @@
 //! fraction.
 
 use super::common::{populate_swarm, synthetic_torrent, SwarmSetup};
-use super::params::{builder_setters, ExperimentParams};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
 use crate::harness::SweepRunner;
 use crate::report::Table;
@@ -83,55 +82,7 @@ impl PlayabilityParams {
             ..Self::quick_large()
         }
     }
-
-    /// Converts to the registry's untyped parameter map, prefixing every
-    /// key with `prefix` (two panels share one map).
-    pub fn to_params_prefixed(&self, prefix: &str, p: &mut ExperimentParams) {
-        p.set_num(&format!("{prefix}file_size"), self.file_size as f64);
-        p.set_num(&format!("{prefix}piece_length"), self.piece_length as f64);
-        p.set_swarm(&format!("{prefix}swarm"), &self.swarm);
-        p.set_access(&format!("{prefix}client_access"), self.client_access);
-        p.set_num(&format!("{prefix}runs"), self.runs as f64);
-        p.set_num(&format!("{prefix}grid"), self.grid as f64);
-        p.set_dur(&format!("{prefix}timeout_s"), self.timeout);
-    }
-
-    /// Converts to the registry's untyped parameter map.
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        self.to_params_prefixed("", &mut p);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from `base`; reads the
-    /// keys written by [`Self::to_params_prefixed`].
-    pub fn from_params_prefixed(p: &ExperimentParams, prefix: &str, base: Self) -> Self {
-        PlayabilityParams {
-            file_size: p.u64_or(&format!("{prefix}file_size"), base.file_size),
-            piece_length: p.u32_or(&format!("{prefix}piece_length"), base.piece_length),
-            swarm: p.swarm_or(&format!("{prefix}swarm"), &base.swarm),
-            client_access: p.access_or(&format!("{prefix}client_access"), base.client_access),
-            runs: p.u64_or(&format!("{prefix}runs"), base.runs),
-            grid: p.usize_or(&format!("{prefix}grid"), base.grid),
-            timeout: p.dur_or(&format!("{prefix}timeout_s"), base.timeout),
-        }
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick_5mb`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        Self::from_params_prefixed(p, "", Self::quick_5mb())
-    }
 }
-
-builder_setters!(PlayabilityParams {
-    file_size: u64,
-    piece_length: u32,
-    swarm: SwarmSetup,
-    client_access: Access,
-    runs: u64,
-    grid: usize,
-    timeout: SimDuration,
-});
 
 /// A playability curve: `playable[i]` is the playable fraction when
 /// `downloaded ≈ (i+1)/grid`.
@@ -276,15 +227,17 @@ mod tests {
     use super::*;
 
     fn tiny() -> PlayabilityParams {
-        PlayabilityParams::quick_5mb()
-            .file_size(4 * 1024 * 1024)
-            .piece_length(128 * 1024)
-            .client_access(Access::Wireless {
+        PlayabilityParams {
+            file_size: 4 * 1024 * 1024,
+            piece_length: 128 * 1024,
+            client_access: Access::Wireless {
                 capacity: 300_000.0,
-            })
-            .runs(2)
-            .grid(10)
-            .timeout(SimDuration::from_mins(8))
+            },
+            runs: 2,
+            grid: 10,
+            timeout: SimDuration::from_mins(8),
+            ..PlayabilityParams::quick_5mb()
+        }
     }
 
     fn run_plain(
@@ -338,19 +291,10 @@ mod tests {
 
     #[test]
     fn table_renders_both_arms() {
-        let params = tiny().runs(1);
+        let params = PlayabilityParams { runs: 1, ..tiny() };
         let a = run_plain(&params, None, 1);
         let b = run_plain(&params, Some(PrSchedule::DownloadedFraction), 1);
         let t = playability_table("demo", &a, Some(&b));
         assert_eq!(t.len(), params.grid);
-    }
-
-    #[test]
-    fn playability_params_round_trip() {
-        let p = PlayabilityParams::paper_large();
-        let q = PlayabilityParams::from_params(
-            &ExperimentParams::from_json(&p.to_params().to_json()).unwrap(),
-        );
-        assert_eq!(format!("{p:?}"), format!("{q:?}"));
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Every figure of the paper's evaluation — and every engineering
 //! experiment and diagnostic grown around them — is exposed as an
-//! [`Experiment`]: a named object with untyped default/paper parameters
-//! ([`ExperimentParams`]), a canonical seed, and a uniform
-//! `run(&params, &metrics, seed) -> Report` entry point. The registry is
+//! [`Experiment`]: a named object with a canonical seed and a uniform
+//! `run(&preset, &metrics, seed) -> Report` entry point, where the preset
+//! ([`ExperimentParams`]) is `Quick` or `Paper` and each entry turns it
+//! into its figure's typed parameters. The registry is
 //! the only experiment surface: `all_figures` consumes it, so `--only`,
 //! `--paper`, `--seed` and `--metrics-out` behave identically across
 //! entries.
@@ -31,7 +32,6 @@ use super::service::{self, SERVICE_SEED};
 use super::soak::{self, SOAK_SEED};
 use crate::report::Table;
 use metrics::handle::MetricsHandle;
-use simnet::time::SimDuration;
 
 /// What an experiment returns: the tables the figure prints, plus any
 /// free text that goes with them.
@@ -54,19 +54,26 @@ impl Report {
         }
     }
 
-    /// Prints the free text (if any), then every table, all blank-line
-    /// separated.
-    pub fn print(&self) {
+    /// The free text (if any), then every table, all blank-line
+    /// separated — exactly what [`Self::print`] writes.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
         if !self.text.is_empty() {
-            print!("{}", self.text);
-            println!();
+            out.push_str(&self.text);
+            out.push('\n');
         }
         for (i, t) in self.tables.iter().enumerate() {
             if i > 0 {
-                println!();
+                out.push('\n');
             }
-            t.print();
+            out.push_str(&t.render());
         }
+        out
+    }
+
+    /// Prints [`Self::render`] to stdout.
+    pub fn print(&self) {
+        print!("{}", self.render());
     }
 }
 
@@ -78,11 +85,10 @@ pub trait Experiment: Sync {
     /// One-line human description of the figure.
     fn title(&self) -> &'static str;
 
-    /// CI-sized parameters (the `quick` preset).
-    fn default_params(&self) -> ExperimentParams;
-
-    /// Paper-scale parameters.
-    fn paper_params(&self) -> ExperimentParams;
+    /// The default preset: [`ExperimentParams::Quick`] (CI-sized).
+    fn default_params(&self) -> ExperimentParams {
+        ExperimentParams::Quick
+    }
 
     /// The canonical seed the bench drivers use; pinned by the
     /// shape-regression tests.
@@ -104,8 +110,6 @@ struct Entry {
     name: &'static str,
     title: &'static str,
     seed: u64,
-    quick: fn() -> ExperimentParams,
-    paper: fn() -> ExperimentParams,
     run: fn(&ExperimentParams, &MetricsHandle, u64) -> Report,
 }
 
@@ -116,12 +120,6 @@ impl Experiment for Entry {
     fn title(&self) -> &'static str {
         self.title
     }
-    fn default_params(&self) -> ExperimentParams {
-        (self.quick)()
-    }
-    fn paper_params(&self) -> ExperimentParams {
-        (self.paper)()
-    }
     fn default_seed(&self) -> u64 {
         self.seed
     }
@@ -130,34 +128,22 @@ impl Experiment for Entry {
     }
 }
 
-/// Encodes the two playability panels of Figs. 4(b,c)/9(a,b) under
-/// `small.*` / `large.*` key prefixes.
-fn panel_params(small: &PlayabilityParams, large: &PlayabilityParams) -> ExperimentParams {
-    let mut p = ExperimentParams::new();
-    small.to_params_prefixed("small.", &mut p);
-    large.to_params_prefixed("large.", &mut p);
-    p
-}
-
-fn quick_panels() -> ExperimentParams {
-    panel_params(
-        &PlayabilityParams::quick_5mb(),
-        &PlayabilityParams::quick_large(),
-    )
-}
-
-fn paper_panels() -> ExperimentParams {
-    panel_params(
-        &PlayabilityParams::paper_5mb(),
-        &PlayabilityParams::paper_large(),
-    )
-}
-
-/// Decodes [`panel_params`], filling gaps from the quick presets.
-fn panels_from(p: &ExperimentParams) -> (PlayabilityParams, PlayabilityParams) {
-    (
-        PlayabilityParams::from_params_prefixed(p, "small.", PlayabilityParams::quick_5mb()),
-        PlayabilityParams::from_params_prefixed(p, "large.", PlayabilityParams::quick_large()),
+/// The two playability panels of Figs. 4(b,c)/9(a,b): the small file,
+/// then the large one.
+fn panels(params: &ExperimentParams) -> (PlayabilityParams, PlayabilityParams) {
+    params.pick(
+        || {
+            (
+                PlayabilityParams::quick_5mb(),
+                PlayabilityParams::quick_large(),
+            )
+        },
+        || {
+            (
+                PlayabilityParams::paper_5mb(),
+                PlayabilityParams::paper_large(),
+            )
+        },
     )
 }
 
@@ -166,10 +152,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "fig2a",
         title: "Downloading throughput vs BER — bi-TCP vs uni-TCP",
         seed: FIG2A_SEED,
-        quick: || fig2::Fig2aParams::quick().to_params(),
-        paper: || fig2::Fig2aParams::paper().to_params(),
         run: |params, metrics, seed| {
-            let p = fig2::Fig2aParams::from_params(params);
+            let p = params.pick(fig2::Fig2aParams::quick, fig2::Fig2aParams::paper);
             Report::single(fig2::fig2a_table(&fig2::run_fig2a_with(&p, metrics, seed)))
         },
     },
@@ -177,10 +161,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "fig2bc",
         title: "Packets sent from client on the wireless leg over time",
         seed: FIG2BC_SEED,
-        quick: || fig2::Fig2bcParams::quick().to_params(),
-        paper: || fig2::Fig2bcParams::paper().to_params(),
         run: |params, metrics, seed| {
-            let p = fig2::Fig2bcParams::from_params(params);
+            let p = params.pick(fig2::Fig2bcParams::quick, fig2::Fig2bcParams::paper);
             let (uni, bi) = fig2::run_fig2bc_pair_with(&p, metrics, seed);
             Report {
                 tables: vec![fig2::fig2bc_table(&uni, &bi)],
@@ -192,10 +174,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "fig3ab",
         title: "Aggregate download vs upload limit — wired and wireless",
         seed: FIG3AB_SEED,
-        quick: || fig3::Fig3abParams::quick().to_params(),
-        paper: || fig3::Fig3abParams::paper().to_params(),
         run: |params, metrics, seed| {
-            let p = fig3::Fig3abParams::from_params(params);
+            let p = params.pick(fig3::Fig3abParams::quick, fig3::Fig3abParams::paper);
             // Only panel (a) gets the live handle: the panels share series
             // names, and a series must keep a single writer.
             Report {
@@ -219,10 +199,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "fig3c",
         title: "Downloaded size vs time — incentive & mobility arms",
         seed: FIG3C_SEED,
-        quick: || fig3::Fig3cParams::quick().to_params(),
-        paper: || fig3::Fig3cParams::paper().to_params(),
         run: |params, metrics, seed| {
-            let p = fig3::Fig3cParams::from_params(params);
+            let p = params.pick(fig3::Fig3cParams::quick, fig3::Fig3cParams::paper);
             Report::single(fig3::fig3c_table(
                 &fig3::run_fig3c_with(&p, metrics, seed),
                 10,
@@ -233,10 +211,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "fig4a",
         title: "Fixed-peer throughput vs server mobility rate",
         seed: FIG4A_SEED,
-        quick: || fig4::Fig4aParams::quick().to_params(),
-        paper: || fig4::Fig4aParams::paper().to_params(),
         run: |params, metrics, seed| {
-            let p = fig4::Fig4aParams::from_params(params);
+            let p = params.pick(fig4::Fig4aParams::quick, fig4::Fig4aParams::paper);
             Report::single(fig4::fig4a_table(&fig4::run_fig4a_with(&p, metrics, seed)))
         },
     },
@@ -244,10 +220,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "fig4bc",
         title: "Playable vs downloaded fraction under rarest-first",
         seed: FIG4BC_SEED,
-        quick: quick_panels,
-        paper: paper_panels,
         run: |params, metrics, seed| {
-            let (small, large) = panels_from(params);
+            let (small, large) = panels(params);
             // Panel (c) reuses panel (b)'s seed successor, preserving the
             // serial drivers' 0x4B/0x4C pair; only panel (b) gets the live
             // handle (shared series names, single writer).
@@ -277,10 +251,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "fig8a",
         title: "Throughput vs BER — default vs wP2P (age-based manipulation)",
         seed: FIG8A_SEED,
-        quick: || fig8::Fig8aParams::quick().to_params(),
-        paper: || fig8::Fig8aParams::paper().to_params(),
         run: |params, metrics, seed| {
-            let p = fig8::Fig8aParams::from_params(params);
+            let p = params.pick(fig8::Fig8aParams::quick, fig8::Fig8aParams::paper);
             Report::single(fig8::fig8a_table(&fig8::run_fig8a_with(&p, metrics, seed)))
         },
     },
@@ -288,10 +260,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "fig8b",
         title: "Downloaded size vs time — identity retention under hand-offs",
         seed: FIG8B_SEED,
-        quick: || fig8::Fig8bParams::quick().to_params(),
-        paper: || fig8::Fig8bParams::paper().to_params(),
         run: |params, metrics, seed| {
-            let p = fig8::Fig8bParams::from_params(params);
+            let p = params.pick(fig8::Fig8bParams::quick, fig8::Fig8bParams::paper);
             Report::single(fig8::fig8b_table(
                 &fig8::run_fig8b_with(&p, metrics, seed),
                 10,
@@ -302,10 +272,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "fig8c",
         title: "Download throughput vs wireless capacity — default vs wP2P (LIHD)",
         seed: FIG8C_SEED,
-        quick: || fig8::Fig8cParams::quick().to_params(),
-        paper: || fig8::Fig8cParams::paper().to_params(),
         run: |params, metrics, seed| {
-            let p = fig8::Fig8cParams::from_params(params);
+            let p = params.pick(fig8::Fig8cParams::quick, fig8::Fig8cParams::paper);
             Report::single(fig8::fig8c_table(&fig8::run_fig8c_with(&p, metrics, seed)))
         },
     },
@@ -313,10 +281,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "fig9ab",
         title: "Playable vs downloaded fraction — rarest-first vs mobility-aware",
         seed: FIG9AB_SEED,
-        quick: quick_panels,
-        paper: paper_panels,
         run: |params, metrics, seed| {
-            let (small, large) = panels_from(params);
+            let (small, large) = panels(params);
             // Panel (b) takes the seed successor (the serial 0x9A/0x9B pair);
             // only panel (a) gets the live handle.
             Report {
@@ -338,10 +304,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "fig9c",
         title: "Mobile-seed upload throughput vs mobility — role reversal",
         seed: FIG9C_SEED,
-        quick: || fig9::Fig9cParams::quick().to_params(),
-        paper: || fig9::Fig9cParams::paper().to_params(),
         run: |params, metrics, seed| {
-            let p = fig9::Fig9cParams::from_params(params);
+            let p = params.pick(fig9::Fig9cParams::quick, fig9::Fig9cParams::paper);
             Report::single(fig9::fig9c_table(&fig9::run_fig9c_with(&p, metrics, seed)))
         },
     },
@@ -349,10 +313,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "scale",
         title: "Large-swarm scale sweep — event-queue health vs swarm size",
         seed: SCALE_SEED,
-        quick: || scale::ScaleParams::quick().to_params(),
-        paper: || scale::ScaleParams::paper().to_params(),
         run: |params, metrics, seed| {
-            let p = scale::ScaleParams::from_params(params);
+            let p = params.pick(scale::ScaleParams::quick, scale::ScaleParams::paper);
             Report::single(scale::scale_table(&scale::run_scale_with(
                 &p, metrics, seed,
             )))
@@ -362,10 +324,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "soak",
         title: "Chaos soak — recovery time after composed fault windows",
         seed: SOAK_SEED,
-        quick: || soak::SoakParams::quick().to_params(),
-        paper: || soak::SoakParams::paper().to_params(),
         run: |params, metrics, seed| {
-            let p = soak::SoakParams::from_params(params);
+            let p = params.pick(soak::SoakParams::quick, soak::SoakParams::paper);
             let points = soak::run_soak_with(&p, metrics, seed);
             Report {
                 tables: vec![soak::soak_table(&points)],
@@ -377,10 +337,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "service",
         title: "Multi-swarm service tier — sharded trackers, flash crowds, clustering",
         seed: SERVICE_SEED,
-        quick: || service::ServiceParams::quick().to_params(),
-        paper: || service::ServiceParams::paper().to_params(),
         run: |params, metrics, seed| {
-            let p = service::ServiceParams::from_params(params);
+            let p = params.pick(service::ServiceParams::quick, service::ServiceParams::paper);
             Report::single(service::service_table(&service::run_service_with(
                 &p, metrics, seed,
             )))
@@ -390,10 +348,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "exploit",
         title: "Identity-retention exploit probe — honest retainers vs deliberate id-churners",
         seed: EXPLOIT_SEED,
-        quick: || exploit::ExploitParams::quick().to_params(),
-        paper: || exploit::ExploitParams::paper().to_params(),
         run: |params, metrics, seed| {
-            let p = exploit::ExploitParams::from_params(params);
+            let p = params.pick(exploit::ExploitParams::quick, exploit::ExploitParams::paper);
             Report::single(exploit::exploit_table(&exploit::run_exploit_with(
                 &p, metrics, seed,
             )))
@@ -403,10 +359,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "erosion",
         title: "Free-rider erosion — fig8 retention lead vs adversarial population share",
         seed: EROSION_SEED,
-        quick: || erosion::ErosionParams::quick().to_params(),
-        paper: || erosion::ErosionParams::paper().to_params(),
         run: |params, metrics, seed| {
-            let p = erosion::ErosionParams::from_params(params);
+            let p = params.pick(erosion::ErosionParams::quick, erosion::ErosionParams::paper);
             Report::single(erosion::erosion_table(&erosion::run_erosion_with(
                 &p, metrics, seed,
             )))
@@ -416,10 +370,11 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "blackout",
         title: "Dark tracker tier — replica failover, overload shedding, PEX fallback",
         seed: BLACKOUT_SEED,
-        quick: || blackout::BlackoutParams::quick().to_params(),
-        paper: || blackout::BlackoutParams::paper().to_params(),
         run: |params, metrics, seed| {
-            let p = blackout::BlackoutParams::from_params(params);
+            let p = params.pick(
+                blackout::BlackoutParams::quick,
+                blackout::BlackoutParams::paper,
+            );
             Report::single(blackout::blackout_table(&blackout::run_blackout_with(
                 &p, metrics, seed,
             )))
@@ -429,40 +384,30 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "faults",
         title: "Seeded fault-plan replay into both worlds, invariant checker live",
         seed: FAULTS_SEED,
-        quick: || faults::faults_params(SimDuration::from_secs(120)),
-        paper: || faults::faults_params(SimDuration::from_secs(600)),
         run: faults::faults_report,
     },
     &Entry {
         name: "snapshot",
         title: "Save/restore differential on two scenarios plus a warm-started fork sweep",
         seed: SNAPSHOT_SEED,
-        quick: ExperimentParams::new,
-        paper: ExperimentParams::new,
         run: search::snapshot_report,
     },
     &Entry {
         name: "bisect",
         title: "Fault-window bisection — planted fatal window found in O(log n) restores",
         seed: BISECT_SEED,
-        quick: ExperimentParams::new,
-        paper: ExperimentParams::new,
         run: search::bisect_report,
     },
     &Entry {
         name: "search",
         title: "Seeded fault-schedule search with a reproducible (seed, schedule) artifact",
         seed: SEARCH_SEED,
-        quick: || search::SearchParams::quick().to_params(),
-        paper: || search::SearchParams::paper().to_params(),
         run: search::search_report,
     },
     &Entry {
         name: "ablations",
         title: "Ablations — MF schedules, AM components, delayed ACKs, LIHD, seed-mode LIHD",
         seed: ABLATIONS_SEED,
-        quick: || ablations::ablations_params(false),
-        paper: || ablations::ablations_params(true),
         run: ablations::ablations_report,
     },
 ];
@@ -513,24 +458,6 @@ mod tests {
         assert_eq!(fig8, vec!["fig8a", "fig8b", "fig8c"]);
         assert_eq!(matching("").len(), all().len());
         assert!(matching("zzz").is_empty());
-    }
-
-    #[test]
-    fn params_json_round_trip_for_every_experiment() {
-        for e in all() {
-            for params in [e.default_params(), e.paper_params()] {
-                let text = params.to_json();
-                let back = ExperimentParams::from_json(&text)
-                    .unwrap_or_else(|err| panic!("{}: {err}", e.name()));
-                assert_eq!(params, back, "{} params round trip", e.name());
-                // Only the two fixed-scenario diagnostics take no knobs.
-                assert!(
-                    !params.is_empty() || matches!(e.name(), "snapshot" | "bisect"),
-                    "{} has no params",
-                    e.name()
-                );
-            }
-        }
     }
 
     #[test]

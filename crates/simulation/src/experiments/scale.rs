@@ -16,7 +16,6 @@
 //! must stay deterministic.
 
 use super::common::synthetic_torrent;
-use super::params::{builder_setters, ExperimentParams};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
 use crate::harness::SweepRunner;
 use crate::report::{pct, Table};
@@ -84,56 +83,7 @@ impl ScaleParams {
             runs: 2,
         }
     }
-
-    /// Converts to the registry's untyped parameter map.
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        let sizes: Vec<f64> = self.sizes.iter().map(|&s| s as f64).collect();
-        p.set_list("sizes", &sizes);
-        p.set_num("mobile_fraction", self.mobile_fraction);
-        p.set_num("file_size", self.file_size as f64);
-        p.set_num("piece_length", self.piece_length as f64);
-        p.set_dur("duration_s", self.duration);
-        p.set_dur("mobility_period_s", self.mobility_period);
-        p.set_dur("outage_s", self.outage);
-        p.set_dur("stall_timeout_s", self.stall_timeout);
-        p.set_num("runs", self.runs as f64);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        let base = Self::quick();
-        let base_sizes: Vec<f64> = base.sizes.iter().map(|&s| s as f64).collect();
-        ScaleParams {
-            sizes: p
-                .list_or("sizes", &base_sizes)
-                .iter()
-                .map(|&s| (s as usize).max(2))
-                .collect(),
-            mobile_fraction: p.num_or("mobile_fraction", base.mobile_fraction),
-            file_size: p.u64_or("file_size", base.file_size),
-            piece_length: p.u32_or("piece_length", base.piece_length),
-            duration: p.dur_or("duration_s", base.duration),
-            mobility_period: p.dur_or("mobility_period_s", base.mobility_period),
-            outage: p.dur_or("outage_s", base.outage),
-            stall_timeout: p.dur_or("stall_timeout_s", base.stall_timeout),
-            runs: p.u64_or("runs", base.runs),
-        }
-    }
 }
-
-builder_setters!(ScaleParams {
-    sizes: Vec<usize>,
-    mobile_fraction: f64,
-    file_size: u64,
-    piece_length: u32,
-    duration: SimDuration,
-    mobility_period: SimDuration,
-    outage: SimDuration,
-    stall_timeout: SimDuration,
-    runs: u64,
-});
 
 /// One cell's deterministic observables.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -390,21 +340,13 @@ mod tests {
     use super::*;
 
     fn tiny() -> ScaleParams {
-        ScaleParams::quick()
-            .sizes(vec![8, 12])
-            .file_size(2 * 1024 * 1024)
-            .duration(SimDuration::from_secs(40))
-            .runs(2)
-    }
-
-    #[test]
-    fn params_round_trip() {
-        let p = ScaleParams::paper();
-        let back = ScaleParams::from_params(&p.to_params());
-        assert_eq!(p.sizes, back.sizes);
-        assert_eq!(p.file_size, back.file_size);
-        assert_eq!(p.duration, back.duration);
-        assert_eq!(p.runs, back.runs);
+        ScaleParams {
+            sizes: vec![8, 12],
+            file_size: 2 * 1024 * 1024,
+            duration: SimDuration::from_secs(40),
+            runs: 2,
+            ..ScaleParams::quick()
+        }
     }
 
     #[test]

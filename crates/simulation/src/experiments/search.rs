@@ -355,29 +355,6 @@ impl SearchParams {
             file_size: 32 * 1024 * 1024,
         }
     }
-
-    /// Converts to the registry's untyped parameter map.
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        p.set_num("rounds", self.rounds as f64);
-        p.set_num("windows", self.windows as f64);
-        p.set_dur("warmup_s", self.warmup);
-        p.set_dur("horizon_s", self.horizon);
-        p.set_num("file_size", self.file_size as f64);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        let base = Self::quick();
-        SearchParams {
-            rounds: p.usize_or("rounds", base.rounds),
-            windows: p.usize_or("windows", base.windows),
-            warmup: p.dur_or("warmup_s", base.warmup),
-            horizon: p.dur_or("horizon_s", base.horizon),
-            file_size: p.u64_or("file_size", base.file_size),
-        }
-    }
 }
 
 /// The searcher's score for one candidate schedule.
@@ -840,7 +817,8 @@ pub fn bisect_report(_: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -
 /// The registry's `search` entry: the seeded searcher, with its
 /// reproducible `(seed, schedule)` artifact ahead of the summary table.
 pub fn search_report(params: &ExperimentParams, metrics: &MetricsHandle, seed: u64) -> Report {
-    let out = search_fault_schedules(&SearchParams::from_params(params), metrics, seed);
+    let params = params.pick(SearchParams::quick, SearchParams::paper);
+    let out = search_fault_schedules(&params, metrics, seed);
     Report {
         tables: vec![search_table(&out)],
         text: out.artifact,

@@ -28,7 +28,6 @@
 //! under any worker count.
 
 use super::common::synthetic_torrent;
-use super::params::{builder_setters, ExperimentParams};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskKey, TaskSpec, TorrentSpec};
 use crate::harness::SweepRunner;
 use crate::report::{pct, Table};
@@ -183,111 +182,7 @@ impl ServiceParams {
             ..Self::quick()
         }
     }
-
-    /// Converts to the registry's untyped parameter map.
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        p.set_num("swarms", self.swarms as f64);
-        p.set_num("tracker_shards", self.tracker_shards as f64);
-        p.set_num("total_peers", self.total_peers as f64);
-        p.set_num("zipf_s", self.zipf_s);
-        p.set_num("min_swarm", self.min_swarm as f64);
-        p.set_num("file_size", self.file_size as f64);
-        p.set_num("probe_file_size", self.probe_file_size as f64);
-        p.set_num("piece_length", self.piece_length as f64);
-        p.set_num("probe_leeches_per_class", self.probe_leeches_per_class as f64);
-        p.set_num("probe_mobile_fraction", self.probe_mobile_fraction);
-        p.set_num("mobile_fraction", self.mobile_fraction);
-        p.set_num("multi_swarm_fraction", self.multi_swarm_fraction);
-        p.set_num("super_seed_every", self.super_seed_every as f64);
-        p.set_num("super_seed_swarms", self.super_seed_swarms as f64);
-        p.set_num("super_seed_cap", self.super_seed_cap);
-        p.set_num("flash_crowds", self.flash_crowds as f64);
-        p.set_dur("flash_mean_gap_s", self.flash_mean_gap);
-        p.set_num("flash_size", self.flash_size as f64);
-        p.set_dur("day_length_s", self.day_length);
-        p.set_num("diurnal_amp", self.diurnal_amp);
-        p.set_dur("handoff_period_s", self.handoff_period);
-        p.set_dur("handoff_outage_s", self.handoff_outage);
-        p.set_num("outage_shard", self.outage_shard as f64);
-        p.set_dur("outage_at_s", self.outage_at);
-        p.set_dur("outage_len_s", self.outage_len);
-        p.set_dur("sample_every_s", self.sample_every);
-        p.set_dur("horizon_s", self.horizon);
-        p.set_num("cluster_margin", self.cluster_margin);
-        p.set_num("runs", self.runs as f64);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        let base = Self::quick();
-        ServiceParams {
-            swarms: p.usize_or("swarms", base.swarms),
-            tracker_shards: p.usize_or("tracker_shards", base.tracker_shards),
-            total_peers: p.usize_or("total_peers", base.total_peers),
-            zipf_s: p.num_or("zipf_s", base.zipf_s),
-            min_swarm: p.usize_or("min_swarm", base.min_swarm),
-            file_size: p.u64_or("file_size", base.file_size),
-            probe_file_size: p.u64_or("probe_file_size", base.probe_file_size),
-            piece_length: p.u32_or("piece_length", base.piece_length),
-            probe_leeches_per_class: p
-                .usize_or("probe_leeches_per_class", base.probe_leeches_per_class),
-            probe_mobile_fraction: p.num_or("probe_mobile_fraction", base.probe_mobile_fraction),
-            mobile_fraction: p.num_or("mobile_fraction", base.mobile_fraction),
-            multi_swarm_fraction: p.num_or("multi_swarm_fraction", base.multi_swarm_fraction),
-            super_seed_every: p.usize_or("super_seed_every", base.super_seed_every),
-            super_seed_swarms: p.usize_or("super_seed_swarms", base.super_seed_swarms),
-            super_seed_cap: p.num_or("super_seed_cap", base.super_seed_cap),
-            flash_crowds: p.usize_or("flash_crowds", base.flash_crowds),
-            flash_mean_gap: p.dur_or("flash_mean_gap_s", base.flash_mean_gap),
-            flash_size: p.usize_or("flash_size", base.flash_size),
-            day_length: p.dur_or("day_length_s", base.day_length),
-            diurnal_amp: p.num_or("diurnal_amp", base.diurnal_amp),
-            handoff_period: p.dur_or("handoff_period_s", base.handoff_period),
-            handoff_outage: p.dur_or("handoff_outage_s", base.handoff_outage),
-            outage_shard: p.usize_or("outage_shard", base.outage_shard),
-            outage_at: p.dur_or("outage_at_s", base.outage_at),
-            outage_len: p.dur_or("outage_len_s", base.outage_len),
-            sample_every: p.dur_or("sample_every_s", base.sample_every),
-            horizon: p.dur_or("horizon_s", base.horizon),
-            cluster_margin: p.num_or("cluster_margin", base.cluster_margin),
-            runs: p.u64_or("runs", base.runs),
-        }
-    }
 }
-
-builder_setters!(ServiceParams {
-    swarms: usize,
-    tracker_shards: usize,
-    total_peers: usize,
-    zipf_s: f64,
-    min_swarm: usize,
-    file_size: u64,
-    probe_file_size: u64,
-    piece_length: u32,
-    probe_leeches_per_class: usize,
-    probe_mobile_fraction: f64,
-    mobile_fraction: f64,
-    multi_swarm_fraction: f64,
-    super_seed_every: usize,
-    super_seed_swarms: usize,
-    super_seed_cap: f64,
-    flash_crowds: usize,
-    flash_mean_gap: SimDuration,
-    flash_size: usize,
-    day_length: SimDuration,
-    diurnal_amp: f64,
-    handoff_period: SimDuration,
-    handoff_outage: SimDuration,
-    outage_shard: usize,
-    outage_at: SimDuration,
-    outage_len: SimDuration,
-    sample_every: SimDuration,
-    horizon: SimDuration,
-    cluster_margin: f64,
-    runs: u64,
-});
 
 // ---------------------------------------------------------------------
 // Workload generator
@@ -1092,40 +987,28 @@ mod tests {
 
     /// A deliberately tiny tier: seconds, not minutes, per run.
     fn tiny() -> ServiceParams {
-        ServiceParams::quick()
-            .swarms(8)
-            .tracker_shards(2)
-            .total_peers(96)
-            .min_swarm(4)
-            .file_size(256 * 1024)
-            .probe_file_size(1024 * 1024)
-            .probe_leeches_per_class(4)
-            .flash_crowds(2)
-            .flash_size(4)
-            .flash_mean_gap(SimDuration::from_secs(10))
-            .outage_at(SimDuration::from_secs(60))
-            .outage_len(SimDuration::from_secs(20))
-            .day_length(SimDuration::from_secs(120))
-            .horizon(SimDuration::from_secs(240))
+        ServiceParams {
+            swarms: 8,
+            tracker_shards: 2,
+            total_peers: 96,
+            min_swarm: 4,
+            file_size: 256 * 1024,
+            probe_file_size: 1024 * 1024,
+            probe_leeches_per_class: 4,
+            flash_crowds: 2,
+            flash_size: 4,
+            flash_mean_gap: SimDuration::from_secs(10),
+            outage_at: SimDuration::from_secs(60),
+            outage_len: SimDuration::from_secs(20),
+            day_length: SimDuration::from_secs(120),
+            horizon: SimDuration::from_secs(240),
             // Probes this small finish within a couple of rechoke
             // intervals, so clustering can't converge; emergence is
             // asserted by `legout_clustering_*` on a full-size probe
             // and by the quick preset, not by the tiny harness.
-            .cluster_margin(0.0)
-    }
-
-    #[test]
-    fn params_round_trip() {
-        let p = ServiceParams::paper();
-        let back = ServiceParams::from_params(&p.to_params());
-        assert_eq!(p.swarms, back.swarms);
-        assert_eq!(p.tracker_shards, back.tracker_shards);
-        assert_eq!(p.total_peers, back.total_peers);
-        assert_eq!(p.flash_mean_gap, back.flash_mean_gap);
-        assert_eq!(p.day_length, back.day_length);
-        assert_eq!(p.outage_shard, back.outage_shard);
-        assert_eq!(p.horizon, back.horizon);
-        assert_eq!(p.runs, back.runs);
+            cluster_margin: 0.0,
+            ..ServiceParams::quick()
+        }
     }
 
     #[test]
@@ -1214,13 +1097,15 @@ mod tests {
         // The probes get a 30-leech roster and a longer transfer: the
         // coefficient is statistical, and a smaller probe is too noisy
         // to order the two reliably.
-        let p = tiny()
-            .swarms(2)
-            .total_peers(16)
-            .probe_leeches_per_class(10)
-            .probe_file_size(48 * 1024 * 1024)
-            .flash_crowds(0)
-            .horizon(SimDuration::from_secs(360));
+        let p = ServiceParams {
+            swarms: 2,
+            total_peers: 16,
+            probe_leeches_per_class: 10,
+            probe_file_size: 48 * 1024 * 1024,
+            flash_crowds: 0,
+            horizon: SimDuration::from_secs(360),
+            ..tiny()
+        };
         let o = run_service_world(&p, SERVICE_SEED);
         assert!(
             o.fixed_coeff > 1.0,

@@ -17,7 +17,6 @@
 //! [`ResilienceConfig::armed`]: bittorrent::lifecycle::ResilienceConfig::armed
 
 use super::common::synthetic_torrent;
-use super::params::{builder_setters, ExperimentParams};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskKey, TaskSpec};
 use crate::harness::SweepRunner;
 use crate::invariants::InvariantChecker;
@@ -78,44 +77,7 @@ impl SoakParams {
             runs: 2,
         }
     }
-
-    /// Converts to the registry's untyped parameter map.
-    pub fn to_params(&self) -> ExperimentParams {
-        let mut p = ExperimentParams::new();
-        p.set_num("file_size", self.file_size as f64);
-        p.set_num("piece_length", self.piece_length as f64);
-        p.set_num("head_start", self.head_start);
-        p.set_dur("recovery_timeout_s", self.recovery_timeout);
-        p.set_dur("stall_timeout_s", self.stall_timeout);
-        p.set_dur("tail_s", self.tail);
-        p.set_num("runs", self.runs as f64);
-        p
-    }
-
-    /// Builds from an untyped map, filling gaps from [`Self::quick`].
-    pub fn from_params(p: &ExperimentParams) -> Self {
-        let base = Self::quick();
-        SoakParams {
-            file_size: p.u64_or("file_size", base.file_size),
-            piece_length: p.u32_or("piece_length", base.piece_length),
-            head_start: p.num_or("head_start", base.head_start),
-            recovery_timeout: p.dur_or("recovery_timeout_s", base.recovery_timeout),
-            stall_timeout: p.dur_or("stall_timeout_s", base.stall_timeout),
-            tail: p.dur_or("tail_s", base.tail),
-            runs: p.u64_or("runs", base.runs),
-        }
-    }
 }
-
-builder_setters!(SoakParams {
-    file_size: u64,
-    piece_length: u32,
-    head_start: f64,
-    recovery_timeout: SimDuration,
-    stall_timeout: SimDuration,
-    tail: SimDuration,
-    runs: u64,
-});
 
 /// The fixed soak topology, as fault-plan handles.
 pub struct Topo {
@@ -640,20 +602,12 @@ mod tests {
     use super::*;
 
     fn tiny() -> SoakParams {
-        SoakParams::quick()
-            .file_size(8 * 1024 * 1024)
-            .recovery_timeout(SimDuration::from_secs(240))
-            .tail(SimDuration::from_secs(10))
-    }
-
-    #[test]
-    fn params_round_trip() {
-        let p = SoakParams::paper();
-        let back = SoakParams::from_params(&p.to_params());
-        assert_eq!(p.file_size, back.file_size);
-        assert_eq!(p.recovery_timeout, back.recovery_timeout);
-        assert_eq!(p.stall_timeout, back.stall_timeout);
-        assert_eq!(p.runs, back.runs);
+        SoakParams {
+            file_size: 8 * 1024 * 1024,
+            recovery_timeout: SimDuration::from_secs(240),
+            tail: SimDuration::from_secs(10),
+            ..SoakParams::quick()
+        }
     }
 
     #[test]
