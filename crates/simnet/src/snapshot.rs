@@ -25,7 +25,7 @@ pub const MAGIC: &[u8; 8] = b"WP2PSNAP";
 /// Bumped on any change to the field order or encoding of any
 /// [`Snap`] implementation. Restoring a blob with a mismatched version
 /// fails loudly instead of misinterpreting bytes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Serializer: appends fixed-width little-endian fields to a byte buffer.
 #[derive(Debug, Default)]

@@ -287,7 +287,7 @@ mod tests {
     use super::*;
     use crate::invariants::InvariantChecker;
     use simnet::addr::NodeId;
-    use simnet::fault::{FaultInjector, FaultPlan, FaultPlanConfig};
+    use simnet::fault::{FaultPlan, FaultPlanConfig};
 
     fn tiny() -> ErosionParams {
         ErosionParams {
@@ -385,15 +385,17 @@ mod tests {
             cfg.tracker_outages = true;
             cfg.crashes = true;
             let plan = FaultPlan::generate(seed, &cfg);
-            let mut inj = FaultInjector::new(&plan);
+            w.set_fault_plan(&plan);
             let mut ck = InvariantChecker::new();
             w.start();
-            w.run_until(SimTime::ZERO + horizon, |w| {
-                inj.poll(w);
-                ck.check_flow(w);
-            });
+            w.run_until(SimTime::ZERO + horizon, |w| ck.check_flow(w));
             let progress: Vec<f64> = tasks.iter().map(|&t| w.progress_fraction(t)).collect();
-            (plan.render(), w.trace().render(), inj.applied(), progress)
+            (
+                plan.render(),
+                w.trace().render(),
+                w.faults_applied(),
+                progress,
+            )
         };
         let a = replay(0xE8_05FA);
         let b = replay(0xE8_05FA);

@@ -16,7 +16,7 @@ use crate::packet::{PacketConfig, PacketWorld};
 use crate::report::Table;
 use metrics::handle::MetricsHandle;
 use simnet::addr::NodeId;
-use simnet::fault::{FaultInjector, FaultPlan, FaultPlanConfig};
+use simnet::fault::{FaultPlan, FaultPlanConfig};
 use simnet::time::{SimDuration, SimTime};
 use simnet::wireless::WirelessConfig;
 
@@ -36,7 +36,7 @@ pub struct FlowReplay {
     pub progress: Vec<f64>,
 }
 
-/// Replays the seed's fault plan into a 7-node flow swarm (1 campus
+/// Replays the seed's fault plan into a 6-node flow swarm (1 campus
 /// seed, 4 residential leeches, 1 wireless mobile leech) for `horizon`.
 ///
 /// Panics if any invariant is violated during the run.
@@ -63,19 +63,15 @@ pub fn replay_flow_with(seed: u64, horizon: SimDuration, handle: &MetricsHandle)
     cfg.tracker_outages = true;
     cfg.crashes = true;
     let plan = FaultPlan::generate(seed, &cfg);
-    let schedule = plan.render();
-    let mut inj = FaultInjector::new(&plan);
+    w.set_fault_plan(&plan);
     let mut ck = InvariantChecker::new();
 
     w.start();
-    w.run_until(SimTime::ZERO + horizon, |w| {
-        inj.poll(w);
-        ck.check_flow(w);
-    });
+    w.run_until(SimTime::ZERO + horizon, |w| ck.check_flow(w));
     FlowReplay {
-        schedule,
+        schedule: plan.render(),
         trace: w.trace().render(),
-        applied: inj.applied(),
+        applied: w.faults_applied(),
         checks: ck.checks(),
         progress: tasks.iter().map(|&t| w.progress_fraction(t)).collect(),
     }
@@ -91,12 +87,17 @@ pub struct PacketReplay {
     /// Invariant passes completed with zero violations.
     pub checks: u64,
     /// In-order bytes the receiver got (faults may keep this short of
-    /// the 16 MB written — a churn event severs the raw connection).
+    /// the [`PACKET_BYTES`] written — a churn event severs the raw
+    /// connection).
     pub delivered: u64,
 }
 
+/// Bytes the packet replay's sender writes.
+pub const PACKET_BYTES: u64 = 16_000_000;
+
 /// Replays the seed's fault plan into a two-node packet world (wired
-/// sender, wireless receiver) carrying a 2 MB raw TCP transfer.
+/// sender, wireless receiver) carrying a [`PACKET_BYTES`] raw TCP
+/// transfer.
 ///
 /// Panics if any invariant is violated during the run.
 pub fn replay_packet(seed: u64, horizon: SimDuration) -> PacketReplay {
@@ -107,7 +108,7 @@ pub fn replay_packet(seed: u64, horizon: SimDuration) -> PacketReplay {
     // Big enough that the stream is still flowing when the plan's events
     // (all within the first 5 s) fire: a fault after the last simulator
     // event would never be polled.
-    w.tcp_write(conn, true, 16_000_000);
+    w.tcp_write(conn, true, PACKET_BYTES);
 
     // Concentrate the plan into the transfer's first seconds: the raw
     // stream finishes in single-digit virtual seconds, and a fault after
@@ -118,17 +119,13 @@ pub fn replay_packet(seed: u64, horizon: SimDuration) -> PacketReplay {
     cfg.tracker_outages = false; // no overlay clients in this world
     cfg.crashes = false;
     let plan = FaultPlan::generate(seed, &cfg);
-    let schedule = plan.render();
-    let mut inj = FaultInjector::new(&plan);
+    w.set_fault_plan(&plan);
     let mut ck = InvariantChecker::new();
 
-    w.run_until(SimTime::ZERO + horizon, |w| {
-        inj.poll(w);
-        ck.check_packet(w);
-    });
+    w.run_until(SimTime::ZERO + horizon, |w| ck.check_packet(w));
     PacketReplay {
-        schedule,
-        applied: inj.applied(),
+        schedule: plan.render(),
+        applied: w.faults_applied(),
         checks: ck.checks(),
         delivered: w.tcp_delivered(conn, false),
     }
@@ -149,7 +146,7 @@ pub fn fault_table(seed: u64, flow: &FlowReplay, pkt: &PacketReplay) -> Table {
         "packet (raw TCP)".to_string(),
         pkt.applied.to_string(),
         pkt.checks.to_string(),
-        format!("{} of 16000000 bytes delivered", pkt.delivered),
+        format!("{} of {PACKET_BYTES} bytes delivered", pkt.delivered),
     ]);
     t.note("zero invariant violations (a violation panics the replay)");
     t

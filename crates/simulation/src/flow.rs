@@ -41,7 +41,7 @@ use metrics::stats::TimeSeries;
 use metrics::trace::{Trace, TraceKind};
 use simnet::addr::{AddressBook, NodeId, SimAddr};
 use simnet::event::{EventToken, QueueStats};
-use simnet::fault::FaultHooks;
+use simnet::fault::{FaultHooks, FaultInjector, FaultPlan};
 use simnet::hash::FastHashMap;
 use simnet::mobility::MobilityProcess;
 use simnet::rng::SimRng;
@@ -570,6 +570,9 @@ pub struct FlowWorld {
     lossy_factor: BTreeMap<NodeKey, f64>,
     /// Active bandwidth-squeeze factor per node.
     squeeze_factor: BTreeMap<NodeKey, f64>,
+    /// The installed fault plan, polled every tick (see
+    /// [`FlowWorld::set_fault_plan`]).
+    faults: FaultInjector,
     /// Every-tick invariant checker (runs in debug/test builds).
     checker: crate::invariants::InvariantChecker,
 }
@@ -613,7 +616,30 @@ impl FlowWorld {
             node_upload_cap: BTreeMap::new(),
             lossy_factor: BTreeMap::new(),
             squeeze_factor: BTreeMap::new(),
+            faults: FaultInjector::default(),
             checker: crate::invariants::InvariantChecker::new(),
+        }
+    }
+
+    /// Installs `plan` with nothing applied yet, replacing any earlier
+    /// plan. Every tick then applies the plan's due actions before the
+    /// `run_until` callback runs. A restore overwrites only the cursor,
+    /// so a restored world installs the saved world's plan first.
+    pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
+        self.faults = FaultInjector::new(plan);
+    }
+
+    /// Fault actions (window begins/ends) applied so far.
+    pub fn faults_applied(&self) -> usize {
+        self.faults.applied()
+    }
+
+    fn poll_faults(&mut self) {
+        let now = self.sim.now();
+        if self.faults.due(now) {
+            let mut faults = std::mem::take(&mut self.faults);
+            faults.poll(now, self);
+            self.faults = faults;
         }
     }
 
@@ -1080,6 +1106,7 @@ impl FlowWorld {
                 Ev::Tick => {
                     self.do_tick(now);
                     self.sim.schedule_in(self.cfg.tick, Ev::Tick);
+                    self.poll_faults();
                     on_tick(self);
                 }
                 Ev::Dial {
@@ -1169,9 +1196,9 @@ impl FlowWorld {
         fired
     }
 
-    /// [`Self::run_until_condition`] with a driver invoked on every tick:
-    /// fault injection needs `&mut` world access, the stop condition only
-    /// reads. Terminates when the condition fires, the deadline passes,
+    /// [`Self::run_until_condition`] with a driver invoked on every tick
+    /// (after the tick's due fault actions): the driver may mutate the
+    /// world, the stop condition only reads. Terminates when the condition fires, the deadline passes,
     /// or no events remain at or before it (so a deadline that falls
     /// between ticks cannot spin). Returns `true` when the condition
     /// fired.
@@ -2303,6 +2330,7 @@ impl FlowWorld {
         self.node_upload_cap.snap(&mut w);
         self.lossy_factor.snap(&mut w);
         self.squeeze_factor.snap(&mut w);
+        self.faults.snap_cursor(&mut w);
         self.checker.snap(&mut w);
         self.metrics.snap_state(&mut w);
         w.into_bytes()
@@ -2362,6 +2390,7 @@ impl FlowWorld {
         self.node_upload_cap = Snap::unsnap(&mut r);
         self.lossy_factor = Snap::unsnap(&mut r);
         self.squeeze_factor = Snap::unsnap(&mut r);
+        self.faults.unsnap_cursor(&mut r);
         self.checker = Snap::unsnap(&mut r);
         self.metrics.restore_state(&mut r);
         assert!(r.is_exhausted(), "snapshot has trailing bytes");
@@ -2385,10 +2414,6 @@ pub const FLOW_WORLD_TAG: u32 = 1;
 /// * **Crash/restart** re-uses the hand-off teardown (connections decay
 ///   as black holes, progress persists) but keeps the node's address.
 impl FaultHooks for FlowWorld {
-    fn fault_now(&self) -> SimTime {
-        self.now()
-    }
-
     fn begin_loss_burst(&mut self, node: NodeId, ber: f64) {
         let n = node.0 as usize;
         if n >= self.nodes.len() {

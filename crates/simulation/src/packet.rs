@@ -29,7 +29,7 @@ use sim_tcp::segment::Segment;
 use sim_tcp::seq::SeqNum;
 use simnet::addr::{AddressBook, NodeId};
 use simnet::event::{EventToken, QueueStats};
-use simnet::fault::FaultHooks;
+use simnet::fault::{FaultHooks, FaultInjector, FaultPlan};
 use simnet::rng::SimRng;
 use simnet::sim::Simulator;
 use simnet::time::{SimDuration, SimTime};
@@ -156,6 +156,9 @@ pub struct PacketWorld {
     /// Pre-fault channel bandwidth of squeezed nodes.
     bw_baseline: BTreeMap<PNodeKey, u64>,
     tracker_down: bool,
+    /// The installed fault plan, polled after every event (see
+    /// [`PacketWorld::set_fault_plan`]).
+    faults: FaultInjector,
     checker: crate::invariants::InvariantChecker,
     metrics: MetricsHandle,
     m_fault_events: Counter,
@@ -181,9 +184,32 @@ impl PacketWorld {
             ber_baseline: BTreeMap::new(),
             bw_baseline: BTreeMap::new(),
             tracker_down: false,
+            faults: FaultInjector::default(),
             checker: crate::invariants::InvariantChecker::new(),
             metrics: MetricsHandle::disabled(),
             m_fault_events: Counter::default(),
+        }
+    }
+
+    /// Installs `plan` with nothing applied yet, replacing any earlier
+    /// plan. Every event then applies the plan's due actions before the
+    /// `run_until` callback runs. A restore overwrites only the cursor,
+    /// so a restored world installs the saved world's plan first.
+    pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
+        self.faults = FaultInjector::new(plan);
+    }
+
+    /// Fault actions (window begins/ends) applied so far.
+    pub fn faults_applied(&self) -> usize {
+        self.faults.applied()
+    }
+
+    fn poll_faults(&mut self) {
+        let now = self.sim.now();
+        if self.faults.due(now) {
+            let mut faults = std::mem::take(&mut self.faults);
+            faults.poll(now, self);
+            self.faults = faults;
         }
     }
 
@@ -985,6 +1011,7 @@ impl PacketWorld {
         self.ber_baseline.snap(&mut w);
         self.bw_baseline.snap(&mut w);
         w.put_bool(self.tracker_down);
+        self.faults.snap_cursor(&mut w);
         self.checker.snap(&mut w);
         self.metrics.snap_state(&mut w);
         w.into_bytes()
@@ -1043,6 +1070,7 @@ impl PacketWorld {
         self.ber_baseline = Snap::unsnap(&mut r);
         self.bw_baseline = Snap::unsnap(&mut r);
         self.tracker_down = r.get_bool();
+        self.faults.unsnap_cursor(&mut r);
         self.checker = Snap::unsnap(&mut r);
         self.metrics.restore_state(&mut r);
         assert!(r.is_exhausted(), "snapshot has trailing bytes");
@@ -1075,6 +1103,7 @@ impl PacketWorld {
                     self.sim.schedule_in(self.cfg.client_tick, PEv::ClientTick);
                 }
             }
+            self.poll_faults();
             on_event(self);
             #[cfg(debug_assertions)]
             {
@@ -1104,10 +1133,6 @@ impl PacketWorld {
 ///   rather than destroying the client: sessions cannot be rebuilt at
 ///   this layer, and a frozen peer exercises the same timeout paths.
 impl FaultHooks for PacketWorld {
-    fn fault_now(&self) -> SimTime {
-        self.sim.now()
-    }
-
     fn begin_loss_burst(&mut self, node: NodeId, ber: f64) {
         let n = node.0 as usize;
         let Some(ch) = self.nodes.get_mut(n).and_then(|nd| nd.channel.as_mut()) else {
