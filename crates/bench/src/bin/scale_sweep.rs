@@ -4,8 +4,7 @@
 //! cargo run --release -p wp2p-bench --bin scale_sweep -- 16384 42
 //! ```
 //!
-//! `scale_sweep SIZE [SEED] [--paper]` runs one
-//! [`run_scale_once`](p2p_simulation::experiments::scale::run_scale_once)
+//! `scale_sweep SIZE [SEED] [--paper]` runs one [`run_scale_once`]
 //! cell (quick-preset durations unless `--paper`; seed defaults to the
 //! scale experiment's) and prints its wall clock, wall per virtual
 //! second, and deterministic observables. CI uses it to hold the

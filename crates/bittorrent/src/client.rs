@@ -26,7 +26,7 @@ use crate::peer_id::PeerId;
 use crate::picker::{PickContext, PiecePicker, RarestFirst};
 use crate::progress::{BlockOutcome, TorrentProgress};
 use crate::rate::{RateEstimator, TokenBucket};
-use crate::strategy::{ClientStrategy, Honest, ServicePolicy, StrategyKind, StrategyPeer};
+use crate::strategy::{ClientStrategy, Honest, StrategyPeer};
 use crate::tracker::{AnnounceEvent, AnnounceResponse};
 use crate::wire::{BlockRef, Message};
 use metrics::handle::MetricsHandle;
@@ -40,6 +40,20 @@ use std::collections::VecDeque;
 /// Floor for early re-announces until the tracker's first response
 /// supplies a `min interval` of its own.
 const DEFAULT_MIN_REANNOUNCE: SimDuration = SimDuration::from_secs(60);
+/// Maximum simultaneous peer connections.
+const MAX_CONNECTIONS: usize = 50;
+/// Outstanding block requests per peer (count cap).
+const REQUEST_PIPELINE: usize = 8;
+/// Outstanding request volume per peer (byte cap). Binds before the
+/// count cap when blocks are large (piece-sized fluid transfers):
+/// without it, a slow peer accumulates minutes of queued requests that
+/// expire before service and churn the whole swarm.
+const REQUEST_PIPELINE_BYTES: u64 = 512 * 1024;
+/// Outstanding requests older than this are abandoned and requeued.
+const REQUEST_TIMEOUT: SimDuration = SimDuration::from_secs(90);
+/// Dial backoff base after a failed connection attempt (unarmed
+/// resilience).
+const DIAL_BACKOFF: SimDuration = SimDuration::from_secs(30);
 
 /// Peer-exchange (PEX) gossip knobs — the third rung of the discovery
 /// degradation ladder. Disabled by default: a client with PEX off never
@@ -70,24 +84,11 @@ impl Default for PexConfig {
     }
 }
 
-/// Client tunables.
+/// Client tunables. The client always runs the stock 4+1-slot choker
+/// ([`ChokerConfig::default`]) and stays in the swarm as a seed after
+/// completing.
 #[derive(Debug)]
 pub struct ClientConfig {
-    /// Maximum simultaneous peer connections.
-    pub max_connections: usize,
-    /// Outstanding block requests per peer (count cap).
-    pub request_pipeline: usize,
-    /// Outstanding request volume per peer (byte cap). Binds before the
-    /// count cap when blocks are large (piece-sized fluid transfers):
-    /// without it, a slow peer accumulates minutes of queued requests
-    /// that expire before service and churn the whole swarm.
-    pub request_pipeline_bytes: u64,
-    /// Choker parameters.
-    pub choker: ChokerConfig,
-    /// Outstanding requests older than this are abandoned and requeued.
-    pub request_timeout: SimDuration,
-    /// Stay in the swarm as a seed after completing.
-    pub keep_seeding: bool,
     /// Upload cap in bytes/second (`None` = unlimited). LIHD adjusts this.
     pub upload_limit: Option<f64>,
     /// Master switch for serving data (the "no uploading" experiment arms
@@ -95,8 +96,6 @@ pub struct ClientConfig {
     pub allow_upload: bool,
     /// Piece selection policy.
     pub picker: Box<dyn PiecePicker>,
-    /// Dial backoff base after a failed connection attempt.
-    pub dial_backoff: SimDuration,
     /// Whether a seed initiates connections. Real clients dial only when
     /// they *want* pieces, so a seed just listens — which is exactly why a
     /// mobile seed that changes address goes dark until leeches re-poll
@@ -111,9 +110,6 @@ pub struct ClientConfig {
     /// Behaviour strategy (the population zoo). [`Honest`] is the
     /// protocol-faithful baseline with every hook an identity.
     pub strategy: Box<dyn ClientStrategy>,
-    /// How a seed's service order weighs relationship history — the
-    /// knob deciding who serves freshly re-initiated mobile peers.
-    pub service_policy: ServicePolicy,
     /// Peer-exchange gossip (tracker-free discovery fallback).
     pub pex: PexConfig,
 }
@@ -121,20 +117,12 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            max_connections: 50,
-            request_pipeline: 8,
-            request_pipeline_bytes: 512 * 1024,
-            choker: ChokerConfig::default(),
-            request_timeout: SimDuration::from_secs(90),
-            keep_seeding: true,
             upload_limit: None,
             allow_upload: true,
             picker: Box::new(RarestFirst),
-            dial_backoff: SimDuration::from_secs(30),
             dial_while_seeding: false,
             resilience: ResilienceConfig::default(),
             strategy: Box::new(Honest),
-            service_policy: ServicePolicy::Standing,
             pex: PexConfig::default(),
         }
     }
@@ -415,7 +403,6 @@ impl Client {
             own_addr,
             metrics: ClientMetrics::default(),
         };
-        client.choker = Choker::new(client.config.choker);
         client.completed_reported = client.progress.is_complete();
         client
     }
@@ -442,7 +429,7 @@ impl Client {
         self.last_announce = now;
         // Stagger optimistic-unchoke rotation so a swarm of simulated
         // clients does not grant and revoke bootstrap slots in lockstep.
-        let interval = self.config.choker.optimistic_interval;
+        let interval = self.choker.config().optimistic_interval;
         let back = self.rng.range(0..interval.as_micros().max(1));
         self.choker
             .set_optimistic_phase(now - simnet::time::SimDuration::from_micros(back));
@@ -512,25 +499,9 @@ impl Client {
         self.conns.get(&conn).and_then(|p| p.peer_id)
     }
 
-    /// Whether we initiated the connection (role reversal flips this
-    /// pattern for mobile hosts).
-    pub fn is_outgoing(&self, conn: ConnKey) -> Option<bool> {
-        self.conns.get(&conn).map(|p| p.outgoing)
-    }
-
     /// When the connection was established.
     pub fn connected_at(&self, conn: ConnKey) -> Option<SimTime> {
         self.conns.get(&conn).map(|p| p.connected_at)
-    }
-
-    /// Debug/metrics: counts of `(peers unchoking us, peers we are
-    /// interested in, peers interested in us, blocks in flight)`.
-    pub fn relation_counts(&self) -> (usize, usize, usize, usize) {
-        let unchoked = self.conns.values().filter(|p| !p.peer_choking).count();
-        let we_want = self.conns.values().filter(|p| p.am_interested).count();
-        let want_us = self.conns.values().filter(|p| p.peer_interested).count();
-        let inflight = self.conns.values().map(|p| p.inflight.len()).sum();
-        (unchoked, we_want, want_us, inflight)
     }
 
     /// Current credit for a peer-id.
@@ -543,11 +514,6 @@ impl Client {
     /// watches these stay bounded under churn.
     pub fn standing_table_sizes(&self) -> (usize, usize, usize) {
         (self.credit.len(), self.served.len(), self.id_addr.len())
-    }
-
-    /// The strategy class this client runs.
-    pub fn strategy_kind(&self) -> StrategyKind {
-        self.config.strategy.kind()
     }
 
     /// Strategy hook proxy: whether this client deliberately
@@ -777,10 +743,7 @@ impl Client {
                 }
             } else {
                 // Legacy schedule: base doubling per failure, capped 2⁴.
-                now + self
-                    .config
-                    .dial_backoff
-                    .saturating_mul(1u64 << st.failures.min(4))
+                now + DIAL_BACKOFF.saturating_mul(1u64 << st.failures.min(4))
             };
         }
     }
@@ -803,7 +766,7 @@ impl Client {
                 // current backoff step but does not escalate it.
                 now + res.dial.delay(st.failures, &mut self.backoff_rng)
             } else {
-                now + self.config.dial_backoff
+                now + DIAL_BACKOFF
             };
         }
         self.choker.invalidate();
@@ -1151,14 +1114,6 @@ impl Client {
                         self.actions.push_back(Action::Announce {
                             event: AnnounceEvent::Completed,
                         });
-                        if !self.config.keep_seeding {
-                            for k in self.connections() {
-                                self.close_conn(k);
-                            }
-                            self.actions.push_back(Action::Announce {
-                                event: AnnounceEvent::Stopped,
-                            });
-                        }
                     }
                 }
             }
@@ -1251,9 +1206,7 @@ impl Client {
         }
         // Request timeouts: free the blocks and tell the (slow) remote to
         // drop the queued work so it stops wasting its uplink on us.
-        let expired = self
-            .progress
-            .expire_requests(now, self.config.request_timeout);
+        let expired = self.progress.expire_requests(now, REQUEST_TIMEOUT);
         for (conn, block) in expired {
             if let Some(peer) = self.conns.get_mut(&conn) {
                 peer.inflight.retain(|b| *b != block);
@@ -1390,10 +1343,6 @@ impl Client {
             self.evict_dead_standing();
         }
         let seeding = self.is_seed();
-        // Seed-side service order: the policy decides how much standing
-        // (vs live push rate) counts — i.e. whether freshly re-initiated
-        // mobile peers wait behind proven relationships.
-        let seed_hist_weight = self.config.service_policy.history_weight(HISTORY_WEIGHT);
         let mut speers = Vec::with_capacity(self.conns.len());
         let mut conns: Vec<(&ConnKey, &mut Peer)> = self.conns.iter_mut().collect();
         conns.sort_by_key(|(k, _)| **k);
@@ -1405,7 +1354,7 @@ impl Client {
                     .peer_id
                     .map(|id| self.served.get(&id).copied().unwrap_or(0.0))
                     .unwrap_or(0.0);
-                peer.upload_est.rate(now) + hist * seed_hist_weight
+                peer.upload_est.rate(now) + hist * HISTORY_WEIGHT
             } else {
                 // Leeches favour peers by live download rate plus the
                 // accumulated peer-id credit.
@@ -1564,7 +1513,7 @@ impl Client {
         if self.is_seed() && !self.config.dial_while_seeding {
             return;
         }
-        let mut budget = self.config.max_connections.saturating_sub(self.conns.len());
+        let mut budget = MAX_CONNECTIONS.saturating_sub(self.conns.len());
         if budget == 0 {
             return;
         }
@@ -1581,7 +1530,7 @@ impl Client {
             }
             // Mark attempt: do not re-dial until failure/success updates.
             let st = self.addrs.get_mut(&addr).expect("candidate exists");
-            st.next_attempt = now + self.config.dial_backoff;
+            st.next_attempt = now + DIAL_BACKOFF;
             let conn = self.alloc_conn();
             self.actions.push_back(Action::Connect { conn, addr });
             budget -= 1;
@@ -1626,7 +1575,7 @@ impl Client {
                 return;
             }
             let inflight_bytes: u64 = peer.inflight.iter().map(|b| b.len as u64).sum();
-            if inflight_bytes >= self.config.request_pipeline_bytes {
+            if inflight_bytes >= REQUEST_PIPELINE_BYTES {
                 return;
             }
             // A snubbed peer keeps a single probe request outstanding:
@@ -1636,9 +1585,7 @@ impl Client {
             let pipeline = if peer.snubbed {
                 1
             } else {
-                self.config
-                    .strategy
-                    .pipeline_cap(self.config.request_pipeline)
+                self.config.strategy.pipeline_cap(REQUEST_PIPELINE)
             };
             let room = pipeline.saturating_sub(peer.inflight.len());
             if room == 0 {
@@ -1691,10 +1638,7 @@ impl Client {
                 return;
             };
             let inflight_bytes: u64 = peer.inflight.iter().map(|b| b.len as u64).sum();
-            let byte_budget = self
-                .config
-                .request_pipeline_bytes
-                .saturating_sub(inflight_bytes);
+            let byte_budget = REQUEST_PIPELINE_BYTES.saturating_sub(inflight_bytes);
             let block_len = self.progress.block_ref(piece, 0).len.max(1) as u64;
             let room_by_bytes = (byte_budget / block_len).max(1) as usize;
             let blocks =

@@ -64,8 +64,8 @@ pub mod prelude {
     pub use crate::rate::{RateEstimator, TokenBucket};
     pub use crate::sha1::{Digest, Sha1};
     pub use crate::strategy::{
-        BitTyrant, ClientStrategy, FreeRider, Honest, HybridMobility, PopulationMix,
-        ServicePolicy, StrategyKind, StrategyPeer,
+        BitTyrant, ClientStrategy, FreeRider, Honest, HybridMobility, PopulationMix, StrategyKind,
+        StrategyPeer,
     };
     pub use crate::tracker::{AnnounceEvent, AnnounceResponse, Tracker, TrackerConfig};
     pub use crate::wire::{BlockRef, Message, BLOCK_SIZE};

@@ -99,9 +99,6 @@ pub struct StrategyPeer {
 ///   decides whether the client deliberately regenerates its peer-id
 ///   even when the world would have retained it.
 pub trait ClientStrategy: std::fmt::Debug + Send {
-    /// Which class this strategy belongs to.
-    fn kind(&self) -> StrategyKind;
-
     /// Whether incoming requests are ever served. `false` turns the
     /// client into a leech that ignores all requests (the free-rider
     /// arm), independent of `ClientConfig::allow_upload`.
@@ -167,11 +164,7 @@ pub trait ClientStrategy: std::fmt::Debug + Send {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Honest;
 
-impl ClientStrategy for Honest {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Honest
-    }
-}
+impl ClientStrategy for Honest {}
 
 /// Uploads nothing and lives off optimistic-unchoke grants: ignores
 /// every request, keeps a double-sized request pipeline, and
@@ -181,9 +174,6 @@ impl ClientStrategy for Honest {
 pub struct FreeRider;
 
 impl ClientStrategy for FreeRider {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::FreeRider
-    }
     fn uploads(&self) -> bool {
         false
     }
@@ -253,9 +243,6 @@ impl Default for BitTyrant {
 }
 
 impl ClientStrategy for BitTyrant {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Strategic
-    }
     fn observe_rechoke(&mut self, peers: &[StrategyPeer]) {
         for p in peers {
             let Some(id) = p.peer_id else { continue };
@@ -313,9 +300,6 @@ impl HybridMobility {
 }
 
 impl ClientStrategy for HybridMobility {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Hybrid
-    }
     fn uploads(&self) -> bool {
         !self.degraded
     }
@@ -330,59 +314,6 @@ impl ClientStrategy for HybridMobility {
     }
     fn load(&mut self, r: &mut SnapReader<'_>) {
         self.degraded = r.get_bool();
-    }
-}
-
-/// Who a seed serves first — the scheduling knob for mobile requests.
-///
-/// A mobile host that loses its identity re-enters the swarm with zero
-/// standing; whether that matters depends on how much the seed's
-/// service order weighs relationship history against live push rate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServicePolicy {
-    /// Legacy: rank by push rate with standing as tie-breaker (the
-    /// default history weight). Mobile newcomers wait behind proven
-    /// relationships.
-    #[default]
-    Standing,
-    /// Ignore standing entirely: rank by live push rate only, so a
-    /// just-re-initiated mobile peer is served as readily as a proven
-    /// fixed one.
-    NewcomerBoost,
-    /// Standing dominates: proven relationships are served first and
-    /// newcomers must win optimistic slots.
-    ProvenFirst,
-}
-
-
-impl ServicePolicy {
-    /// The relationship-history weight a seed's credit formula uses
-    /// under this policy. `base` is the honest default weight.
-    pub fn history_weight(self, base: f64) -> f64 {
-        match self {
-            ServicePolicy::Standing => base,
-            ServicePolicy::NewcomerBoost => 0.0,
-            ServicePolicy::ProvenFirst => 1.0,
-        }
-    }
-
-    /// Stable name for params round-trips.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServicePolicy::Standing => "standing",
-            ServicePolicy::NewcomerBoost => "newcomer_boost",
-            ServicePolicy::ProvenFirst => "proven_first",
-        }
-    }
-
-    /// Inverse of [`ServicePolicy::name`].
-    pub fn from_name(name: &str) -> Option<ServicePolicy> {
-        Some(match name {
-            "standing" => ServicePolicy::Standing,
-            "newcomer_boost" => ServicePolicy::NewcomerBoost,
-            "proven_first" => ServicePolicy::ProvenFirst,
-            _ => return None,
-        })
     }
 }
 

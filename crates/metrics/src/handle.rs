@@ -156,13 +156,6 @@ impl MetricsHandle {
         }
     }
 
-    /// Runs `f` over the trace sink. Returns `None` when disabled.
-    pub fn with_trace<R>(&self, f: impl FnOnce(&Trace) -> R) -> Option<R> {
-        self.core
-            .as_ref()
-            .map(|core| f(&core.trace.lock().unwrap()))
-    }
-
     /// The current value of a counter by name (0 if absent/disabled).
     pub fn counter_value(&self, name: &str) -> u64 {
         self.core.as_ref().map_or(0, |core| {
@@ -171,13 +164,6 @@ impl MetricsHandle {
                 .unwrap()
                 .get(name)
                 .map_or(0, |c| c.load(Ordering::Relaxed))
-        })
-    }
-
-    /// Names of all series recorded so far, sorted.
-    pub fn series_names(&self) -> Vec<String> {
-        self.core.as_ref().map_or_else(Vec::new, |core| {
-            core.series.lock().unwrap().keys().cloned().collect()
         })
     }
 

@@ -2,8 +2,8 @@
 //!
 //! The workspace deliberately carries no external crates, so the metrics
 //! dumps (`--metrics-out`), the [`crate::handle::MetricsHandle`] JSON
-//! export, the experiment-parameter round-trip, and the CI schema
-//! validator all share this one hand-rolled implementation. It covers
+//! export, and the CI schema validator all share this one hand-rolled
+//! implementation. It covers
 //! the JSON subset those producers emit: objects, arrays, strings with
 //! standard escapes, numbers, booleans, and null.
 

@@ -16,10 +16,11 @@
 //!   sim-time stamps and bounded memory.
 //! * [`trace`] — the bounded event trace (ring buffer, opt-in) that
 //!   worlds embed and the handle also exposes as a sink.
-//! * [`stats`] — rate meters, EWMA, append-only time series, and run
-//!   summaries used by experiment post-processing.
+//! * [`stats`] — rate meters, EWMA, append-only time series, run
+//!   summaries, and the mean/median/percentile helpers used by
+//!   experiment post-processing.
 //! * [`json`] — the dependency-free JSON value/parser/writer behind
-//!   `--metrics-out` dumps and the experiment-parameter round-trip.
+//!   `--metrics-out` dumps and their validator.
 //!
 //! ## Determinism contract
 //!

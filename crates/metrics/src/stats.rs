@@ -178,6 +178,32 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
+/// Median of a sample (mean of the middle pair when even); zero for an
+/// empty slice.
+pub fn median(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let mut v = xs.to_vec();
+    v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let mid = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[mid]
+    } else {
+        (v[mid - 1] + v[mid]) / 2.0
+    }
+}
+
+/// The `q`-quantile of an ascending-sorted sample, nearest rank; zero
+/// for an empty slice.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 /// Sample standard deviation; zero when fewer than two points.
 pub fn stddev(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
@@ -241,6 +267,22 @@ impl simnet::snapshot::Snap for RateMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_handles_odd_even_and_empty() {
+        assert_eq!(median(&[]), 0.0);
+        assert_eq!(median(&[3.0]), 3.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0]), 3.0);
+        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
+    }
+
+    #[test]
+    fn percentile_takes_the_nearest_rank() {
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0, 5.0], 0.5), 3.0);
+        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0, 5.0], 0.9), 5.0);
+        assert_eq!(percentile(&[1.0, 2.0], 0.0), 1.0);
+    }
 
     #[test]
     fn rate_meter_windows_correctly() {

@@ -183,6 +183,10 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+/// Mean window length for generated windowed faults (exponentially
+/// distributed, clamped to `[1 s, horizon/2]`).
+const MEAN_FAULT_DURATION: SimDuration = SimDuration::from_secs(30);
+
 /// Parameters for seeded plan generation.
 #[derive(Clone, Debug)]
 pub struct FaultPlanConfig {
@@ -192,9 +196,6 @@ pub struct FaultPlanConfig {
     pub nodes: Vec<NodeId>,
     /// How many fault events to schedule.
     pub events: usize,
-    /// Mean window length for windowed faults (exponentially
-    /// distributed, clamped to `[1 s, horizon/2]`).
-    pub mean_duration: SimDuration,
     /// Include tracker outages in the mix.
     pub tracker_outages: bool,
     /// Include crash/restart in the mix (worlds whose clients cannot be
@@ -210,7 +211,6 @@ impl FaultPlanConfig {
             horizon,
             nodes,
             events: 6,
-            mean_duration: SimDuration::from_secs(30),
             tracker_outages: true,
             crashes: true,
         }
@@ -249,7 +249,7 @@ impl FaultPlan {
             let at = SimTime::from_micros(r.range(0..horizon_us.max(1)));
             let node = *r.choose(&cfg.nodes).expect("nodes non-empty");
             let dur_secs = r
-                .exp(cfg.mean_duration.as_secs_f64())
+                .exp(MEAN_FAULT_DURATION.as_secs_f64())
                 .clamp(1.0, (cfg.horizon.as_secs_f64() / 2.0).max(1.0));
             let duration = SimDuration::from_micros((dur_secs * 1e6) as u64);
             // Weighted kind choice; indices stay stable so schedules only

@@ -32,27 +32,6 @@ pub struct LinkConfig {
 }
 
 impl LinkConfig {
-    /// A typical residential broadband downlink: 4 Mbit/s, 20 ms, 50-packet
-    /// queue, error-free (the paper's Comcast reference, §3.3).
-    pub fn wired_downlink() -> Self {
-        LinkConfig {
-            bandwidth_bps: 4_000_000,
-            prop_delay: SimDuration::from_millis(20),
-            queue_packets: 50,
-            ber: 0.0,
-        }
-    }
-
-    /// The matching 384 kbit/s uplink.
-    pub fn wired_uplink() -> Self {
-        LinkConfig {
-            bandwidth_bps: 384_000,
-            prop_delay: SimDuration::from_millis(20),
-            queue_packets: 50,
-            ber: 0.0,
-        }
-    }
-
     /// A fast, short backbone hop used between fixed peers.
     pub fn backbone() -> Self {
         LinkConfig {

@@ -71,11 +71,6 @@ impl SimRng {
         result
     }
 
-    /// Next 32 uniformly random bits (upper half of a 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Fills a byte slice with random bytes.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {

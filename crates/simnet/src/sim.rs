@@ -108,11 +108,6 @@ impl<E> Simulator<E> {
         self.queue.peek_time()
     }
 
-    /// True when no events remain.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Runs until the agenda is exhausted, `deadline` is reached, or the
     /// handler returns [`Step::Halt`]. Events scheduled exactly at the
     /// deadline still fire; later ones stay queued. On return, `now` is the

@@ -423,33 +423,6 @@ where
     map
 }
 
-/// Serializes any `HashSet` in sorted order (see [`snap_hash_map`]).
-pub fn snap_hash_set<T, S>(set: &std::collections::HashSet<T, S>, w: &mut SnapWriter)
-where
-    T: Snap + Ord + Clone,
-{
-    let mut entries: Vec<&T> = set.iter().collect();
-    entries.sort();
-    w.put_usize(entries.len());
-    for v in entries {
-        v.snap(w);
-    }
-}
-
-/// Restores a `HashSet` written by [`snap_hash_set`].
-pub fn unsnap_hash_set<T, S>(r: &mut SnapReader<'_>) -> std::collections::HashSet<T, S>
-where
-    T: Snap + Eq + std::hash::Hash,
-    S: std::hash::BuildHasher + Default,
-{
-    let n = r.get_usize();
-    let mut set = std::collections::HashSet::with_capacity_and_hasher(n, S::default());
-    for _ in 0..n {
-        set.insert(T::unsnap(r));
-    }
-    set
-}
-
 impl Snap for crate::time::SimTime {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_u64(self.as_micros());

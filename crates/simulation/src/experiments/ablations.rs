@@ -12,7 +12,7 @@
 //!   by a mobile *seed* so its uploads do not strangle the host's
 //!   foreground (non-P2P) downloads.
 
-use super::common::{populate_swarm, synthetic_torrent, SwarmSetup};
+use super::common::{populate_swarm, synthetic_torrent, SwarmSetup, PIECE_LENGTH};
 use super::fig2::Fig2aParams;
 use super::fig8::{Fig8aParams, FIG8A_SEED};
 use super::params::ExperimentParams;
@@ -269,7 +269,7 @@ pub fn ablate_lihd(capacity: f64, duration: SimDuration, seed: u64) -> Vec<LihdA
         .run(&grid, 1, |&(alpha, beta), cell| {
             cell.add_virtual_secs(duration.as_secs_f64());
             let mut w = FlowWorld::new(FlowConfig::default(), seed);
-            let torrent = synthetic_torrent("lihd.bin", 256 * 1024, 96 * 1024 * 1024, seed);
+            let torrent = synthetic_torrent("lihd.bin", PIECE_LENGTH, 96 * 1024 * 1024, seed);
             populate_swarm(
                 &mut w,
                 torrent,
@@ -359,7 +359,7 @@ pub fn ablate_seed_lihd(capacity: f64, duration: SimDuration, seed: u64) -> Vec<
             cfg.tracker.announce_interval = SimDuration::from_secs(120);
             let mut w = FlowWorld::new(cfg, seed);
             // Swarm 1: the torrent our host seeds, with hungry leeches.
-            let p2p = synthetic_torrent("seeded.bin", 256 * 1024, 256 * 1024 * 1024, seed);
+            let p2p = synthetic_torrent("seeded.bin", PIECE_LENGTH, 256 * 1024 * 1024, seed);
             // Our host is the swarm's primary source: the one other seed
             // is slow, so leeches lean on us and our uploads really do
             // contend with the foreground.
@@ -380,7 +380,8 @@ pub fn ablate_seed_lihd(capacity: f64, duration: SimDuration, seed: u64) -> Vec<
             // Swarm 2: a stand-in for the foreground download — a private
             // single-seed torrent only our host leeches, upload disabled
             // (a plain HTTP-like fetch).
-            let web = synthetic_torrent("foreground.bin", 256 * 1024, 512 * 1024 * 1024, seed ^ 1);
+            let web =
+                synthetic_torrent("foreground.bin", PIECE_LENGTH, 512 * 1024 * 1024, seed ^ 1);
             let web_server = w.add_node(Access::Wired {
                 up: 2_000_000.0,
                 down: 2_000_000.0,

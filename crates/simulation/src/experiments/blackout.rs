@@ -29,7 +29,7 @@
 //! The reported *degradation* is the dark arm's median completion time
 //! over the tracker-on arm's, per population.
 
-use super::common::synthetic_torrent;
+use super::common::{synthetic_torrent, PIECE_LENGTH};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskKey, TaskSpec};
 use crate::harness::SweepRunner;
 use crate::report::{pct, Table};
@@ -37,56 +37,56 @@ use bittorrent::client::{ClientConfig, PexConfig};
 use bittorrent::lifecycle::ResilienceConfig;
 use bittorrent::tracker::{secondary_shard_of, shard_of, TrackerConfig};
 use metrics::handle::MetricsHandle;
+use metrics::stats::percentile;
 use simnet::mobility::MobilityProcess;
 use simnet::time::{SimDuration, SimTime};
 
 /// Base seed of the blackout run (pinned by the determinism tests).
 pub const BLACKOUT_SEED: u64 = 0xB1AC;
 
+/// Mobile share of the mobile arms' leeches.
+const MOBILE_FRACTION: f64 = 0.3;
+/// Tracker shards in the tier.
+const TRACKER_SHARDS: usize = 4;
+/// Peers returned per announce — deliberately small, so tracker
+/// discovery alone leaves the swarm sparsely connected and PEX is
+/// load-bearing, not decorative.
+const MAX_PEERS_RETURNED: usize = 3;
+/// Advertised re-announce interval (short: the failover window must see
+/// periodic announces).
+const ANNOUNCE_INTERVAL: SimDuration = SimDuration::from_secs(30);
+/// Advertised early re-announce floor.
+const MIN_ANNOUNCE: SimDuration = SimDuration::from_secs(15);
+/// Shed-accounting window.
+const SHED_WINDOW: SimDuration = SimDuration::from_secs(30);
+/// PEX gossip cadence.
+const GOSSIP_INTERVAL: SimDuration = SimDuration::from_secs(20);
+/// Most addresses per PEX message.
+const PEX_MAX_ENTRIES: usize = 8;
+/// Oldest address worth gossiping or believing.
+const PEX_MAX_AGE: SimDuration = SimDuration::from_secs(240);
+/// Consecutive announce failures before the breaker opens.
+const BREAKER_THRESHOLD: u32 = 2;
+/// Open-breaker probe spacing.
+const BREAKER_COOLOFF: SimDuration = SimDuration::from_secs(120);
+/// Mobile hand-off outage length.
+const HANDOFF_OUTAGE: SimDuration = SimDuration::from_secs(2);
+
 /// Parameters of the dark-tier blackout run.
 #[derive(Clone, Copy, Debug)]
 pub struct BlackoutParams {
     /// Leeches in the swarm (plus one seed).
     pub leeches: usize,
-    /// Mobile share of the mobile arms' leeches.
-    pub mobile_fraction: f64,
     /// File size.
     pub file_size: u64,
-    /// Piece length.
-    pub piece_length: u32,
     /// Seed uplink, bytes/second — sized so the transfer spans the
     /// blackout instant (a swarm that finishes during warmup proves
     /// nothing about the dark tier).
     pub seed_up: f64,
-    /// Tracker shards in the tier.
-    pub tracker_shards: usize,
-    /// Peers returned per announce — deliberately small, so tracker
-    /// discovery alone leaves the swarm sparsely connected and PEX is
-    /// load-bearing, not decorative.
-    pub max_peers_returned: usize,
-    /// Advertised re-announce interval (short: the failover window must
-    /// see periodic announces).
-    pub announce_interval: SimDuration,
-    /// Advertised early re-announce floor.
-    pub min_announce: SimDuration,
     /// Announces per shed window before a shard pushes back.
     pub shed_capacity: u64,
-    /// Shed-accounting window.
-    pub shed_window: SimDuration,
-    /// PEX gossip cadence.
-    pub gossip_interval: SimDuration,
-    /// Most addresses per PEX message.
-    pub pex_max_entries: usize,
-    /// Oldest address worth gossiping or believing.
-    pub pex_max_age: SimDuration,
-    /// Consecutive announce failures before the breaker opens.
-    pub breaker_threshold: u32,
-    /// Open-breaker probe spacing.
-    pub breaker_cooloff: SimDuration,
     /// Mobile hand-off period (jittered ±20%).
     pub handoff_period: SimDuration,
-    /// Mobile hand-off outage length.
-    pub handoff_outage: SimDuration,
     /// Tracker-on arms: when the primary shard goes dark.
     pub failover_at: SimDuration,
     /// Tracker-on arms: how long the primary stays dark.
@@ -95,8 +95,6 @@ pub struct BlackoutParams {
     pub blackout_at: SimDuration,
     /// Virtual horizon.
     pub horizon: SimDuration,
-    /// Runs (replays) per sweep cell.
-    pub runs: u64,
 }
 
 impl BlackoutParams {
@@ -104,28 +102,14 @@ impl BlackoutParams {
     pub fn quick() -> Self {
         BlackoutParams {
             leeches: 12,
-            mobile_fraction: 0.3,
             file_size: 16 * 1024 * 1024,
-            piece_length: 256 * 1024,
             seed_up: 256_000.0,
-            tracker_shards: 4,
-            max_peers_returned: 3,
-            announce_interval: SimDuration::from_secs(30),
-            min_announce: SimDuration::from_secs(15),
             shed_capacity: 8,
-            shed_window: SimDuration::from_secs(30),
-            gossip_interval: SimDuration::from_secs(20),
-            pex_max_entries: 8,
-            pex_max_age: SimDuration::from_secs(240),
-            breaker_threshold: 2,
-            breaker_cooloff: SimDuration::from_secs(120),
             handoff_period: SimDuration::from_secs(60),
-            handoff_outage: SimDuration::from_secs(2),
             failover_at: SimDuration::from_secs(120),
             failover_len: SimDuration::from_secs(120),
             blackout_at: SimDuration::from_secs(90),
             horizon: SimDuration::from_secs(900),
-            runs: 1,
         }
     }
 
@@ -200,14 +184,6 @@ pub struct BlackoutOutcome {
     pub degradation_mobile: f64,
 }
 
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Runs one arm of the blackout experiment. Pure in
 /// `(params, seed, dark, mobile)`.
 pub fn run_blackout_arm(
@@ -219,20 +195,19 @@ pub fn run_blackout_arm(
     let name = ARM_NAMES[usize::from(dark) * 2 + usize::from(mobile)];
     let torrent = synthetic_torrent(
         "blackout.bin",
-        params.piece_length,
+        PIECE_LENGTH,
         params.file_size,
         seed ^ 0xB1AC,
     );
-    let shards = params.tracker_shards.max(1);
     let cfg = FlowConfig {
-        tracker_shards: shards,
+        tracker_shards: TRACKER_SHARDS,
         tracker_replicas: true,
         tracker: TrackerConfig {
-            announce_interval: params.announce_interval,
-            min_interval: params.min_announce,
-            max_peers_returned: params.max_peers_returned,
+            announce_interval: ANNOUNCE_INTERVAL,
+            min_interval: MIN_ANNOUNCE,
+            max_peers_returned: MAX_PEERS_RETURNED,
             shed_capacity: params.shed_capacity,
-            shed_window: params.shed_window,
+            shed_window: SHED_WINDOW,
             ..TrackerConfig::default()
         },
         ..FlowConfig::default()
@@ -241,18 +216,17 @@ pub fn run_blackout_arm(
 
     // Every client in the arm runs the full ladder: PEX gossip on, armed
     // resilience, announce breaker armed.
-    let p = *params;
-    let make_config = move || ClientConfig {
+    let make_config = || ClientConfig {
         resilience: ResilienceConfig {
-            breaker_threshold: p.breaker_threshold,
-            breaker_cooloff: p.breaker_cooloff,
+            breaker_threshold: BREAKER_THRESHOLD,
+            breaker_cooloff: BREAKER_COOLOFF,
             ..ResilienceConfig::armed()
         },
         pex: PexConfig {
             enabled: true,
-            gossip_interval: p.gossip_interval,
-            max_entries: p.pex_max_entries,
-            max_age: p.pex_max_age,
+            gossip_interval: GOSSIP_INTERVAL,
+            max_entries: PEX_MAX_ENTRIES,
+            max_age: PEX_MAX_AGE,
         },
         ..ClientConfig::default()
     };
@@ -266,7 +240,7 @@ pub fn run_blackout_arm(
     let seed_task = w.add_task(seed_spec);
 
     let mobile_count = if mobile {
-        (params.mobile_fraction * params.leeches as f64).round() as usize
+        (MOBILE_FRACTION * params.leeches as f64).round() as usize
     } else {
         0
     };
@@ -280,7 +254,7 @@ pub fn run_blackout_arm(
             });
             w.set_mobility(
                 n,
-                MobilityProcess::with_jitter(params.handoff_period, params.handoff_outage, 0.2),
+                MobilityProcess::with_jitter(params.handoff_period, HANDOFF_OUTAGE, 0.2),
             );
             n
         } else {
@@ -293,13 +267,13 @@ pub fn run_blackout_arm(
     w.start();
 
     let horizon = SimTime::ZERO + params.horizon;
-    let primary = shard_of(torrent.info_hash, shards);
+    let primary = shard_of(torrent.info_hash, TRACKER_SHARDS);
     if dark {
         // Rung three: at blackout_at the whole tier goes down and never
         // comes back — PEX is the only discovery path left.
         let at = (SimTime::ZERO + params.blackout_at).min(horizon);
         w.run_until(at, |_| {});
-        for s in 0..shards {
+        for s in 0..TRACKER_SHARDS {
             w.set_tracker_shard_down(s, true);
         }
         w.run_until(horizon, |_| {});
@@ -338,8 +312,12 @@ pub fn run_blackout_arm(
         p50_s: percentile(&times, 0.5),
         p90_s: percentile(&times, 0.9),
         worst_s: times.last().copied().unwrap_or(0.0),
-        shard_announces: (0..shards).map(|s| w.tracker_shard_announces(s)).collect(),
-        shard_sheds: (0..shards).map(|s| w.tracker_shard_sheds(s)).collect(),
+        shard_announces: (0..TRACKER_SHARDS)
+            .map(|s| w.tracker_shard_announces(s))
+            .collect(),
+        shard_sheds: (0..TRACKER_SHARDS)
+            .map(|s| w.tracker_shard_sheds(s))
+            .collect(),
         pex_sent: pex.0,
         pex_received: pex.1,
         pex_learned: pex.2,
@@ -354,15 +332,14 @@ pub fn run_blackout_world(params: &BlackoutParams, seed: u64) -> BlackoutOutcome
         .into_iter()
         .map(|(dark, mobile)| run_blackout_arm(params, seed, dark, mobile))
         .collect();
-    let shards = params.tracker_shards.max(1);
     let torrent = synthetic_torrent(
         "blackout.bin",
-        params.piece_length,
+        PIECE_LENGTH,
         params.file_size,
         seed ^ 0xB1AC,
     );
-    let primary = shard_of(torrent.info_hash, shards);
-    let secondary = secondary_shard_of(torrent.info_hash, shards);
+    let primary = shard_of(torrent.info_hash, TRACKER_SHARDS);
+    let secondary = secondary_shard_of(torrent.info_hash, TRACKER_SHARDS);
     let deg = |dark: &ArmOutcome, on: &ArmOutcome| dark.p50_s / on.p50_s.max(1e-9);
     BlackoutOutcome {
         degradation_fixed: deg(&arms[2], &arms[0]),
@@ -373,18 +350,22 @@ pub fn run_blackout_world(params: &BlackoutParams, seed: u64) -> BlackoutOutcome
     }
 }
 
-fn run_blackout_impl(
+/// Runs the blackout experiment on an explicit metrics handle and base
+/// seed.
+///
+/// # Panics
+///
+/// Panics when any rung of the degradation ladder fails to carry its
+/// arm: dark arms must complete 100% via PEX with tripped breakers;
+/// tracker-on arms must fail over to the secondary shard and shed load.
+pub fn run_blackout_with(
     params: &BlackoutParams,
     metrics: &MetricsHandle,
     base_seed: u64,
-    threads: Option<usize>,
 ) -> BlackoutOutcome {
-    let mut runner = SweepRunner::new("blackout", base_seed).with_metrics(metrics);
-    if let Some(n) = threads {
-        runner = runner.with_threads(n);
-    }
+    let runner = SweepRunner::new("blackout", base_seed).with_metrics(metrics);
     let points = [0usize];
-    let cells = runner.run(&points, params.runs as usize, |_, cell| {
+    let cells = runner.run(&points, 1, |_, cell| {
         cell.add_virtual_secs(4.0 * params.horizon.as_secs_f64());
         run_blackout_world(params, cell.seed)
     });
@@ -447,33 +428,6 @@ fn run_blackout_impl(
     outcome
 }
 
-/// Runs the blackout experiment on an explicit metrics handle and base
-/// seed.
-///
-/// # Panics
-///
-/// Panics when any rung of the degradation ladder fails to carry its
-/// arm: dark arms must complete 100% via PEX with tripped breakers;
-/// tracker-on arms must fail over to the secondary shard and shed load.
-pub fn run_blackout_with(
-    params: &BlackoutParams,
-    metrics: &MetricsHandle,
-    base_seed: u64,
-) -> BlackoutOutcome {
-    run_blackout_impl(params, metrics, base_seed, None)
-}
-
-/// [`run_blackout_with`] pinned to a worker count (the determinism tests
-/// compare 1 vs 4 without touching `WP2P_THREADS`).
-pub fn run_blackout_with_threads(
-    params: &BlackoutParams,
-    metrics: &MetricsHandle,
-    base_seed: u64,
-    threads: usize,
-) -> BlackoutOutcome {
-    run_blackout_impl(params, metrics, base_seed, Some(threads))
-}
-
 /// Renders the blackout run: one row per arm plus the degradation
 /// ratios.
 pub fn blackout_table(o: &BlackoutOutcome) -> Table {
@@ -520,6 +474,7 @@ pub fn blackout_table(o: &BlackoutOutcome) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::with_worker_threads;
 
     /// A deliberately tiny ladder: seconds, not minutes, per arm.
     fn tiny() -> BlackoutParams {
@@ -533,7 +488,6 @@ mod tests {
             failover_len: SimDuration::from_secs(120),
             blackout_at: SimDuration::from_secs(45),
             horizon: SimDuration::from_secs(480),
-            ..BlackoutParams::quick()
         }
     }
 
@@ -547,8 +501,12 @@ mod tests {
     #[test]
     fn blackout_deterministic_across_worker_counts() {
         let p = tiny();
-        let a = run_blackout_with_threads(&p, &MetricsHandle::disabled(), BLACKOUT_SEED, 1);
-        let b = run_blackout_with_threads(&p, &MetricsHandle::disabled(), BLACKOUT_SEED, 4);
+        let a = with_worker_threads(1, || {
+            run_blackout_with(&p, &MetricsHandle::disabled(), BLACKOUT_SEED)
+        });
+        let b = with_worker_threads(4, || {
+            run_blackout_with(&p, &MetricsHandle::disabled(), BLACKOUT_SEED)
+        });
         assert_eq!(a, b, "blackout run must not depend on worker count");
     }
 

@@ -5,6 +5,9 @@ use bittorrent::client::ClientConfig;
 use bittorrent::metainfo::Metainfo;
 use bittorrent::strategy::PopulationMix;
 
+/// Piece length of every synthetic experiment torrent: 256 KiB.
+pub const PIECE_LENGTH: u32 = 256 * 1024;
+
 /// Builds a [`TorrentSpec`] for a synthetic file. Flow transfers use
 /// 64 KB blocks: coarse enough to bound event counts at swarm scale, fine
 /// enough that one block transfers in well under a rechoke interval on a
@@ -46,29 +49,14 @@ impl SwarmSetup {
     }
 }
 
-/// Populates `world` with the background swarm for `torrent`; returns
-/// `(seed_tasks, leech_tasks)`.
+/// Populates `world` with an all-honest background swarm for
+/// `torrent`; returns `(seed_tasks, leech_tasks)`.
 pub fn populate_swarm(
     world: &mut FlowWorld,
     torrent: TorrentSpec,
     setup: &SwarmSetup,
 ) -> (Vec<TaskKey>, Vec<TaskKey>) {
-    let mut seeds = Vec::new();
-    let mut leeches = Vec::new();
-    for _ in 0..setup.seeds {
-        let n = world.add_node(setup.seed_access);
-        seeds.push(world.add_task(TaskSpec::default_client(n, torrent, true)));
-    }
-    for i in 0..setup.leeches {
-        let n = world.add_node(setup.leech_access);
-        let mut spec = TaskSpec::default_client(n, torrent, false);
-        if setup.leech_head_start > 0.0 {
-            spec.start_fraction =
-                Some(setup.leech_head_start * (i + 1) as f64 / (setup.leeches + 1) as f64);
-        }
-        leeches.push(world.add_task(spec));
-    }
-    (seeds, leeches)
+    populate_swarm_with_mix(world, torrent, setup, PopulationMix::honest(), 0)
 }
 
 /// [`populate_swarm`], but background leeches draw their client strategy

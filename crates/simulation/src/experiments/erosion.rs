@@ -17,19 +17,22 @@
 //! noise. Within one run every share point also reuses the same world
 //! seed, so the swarms are identical up to the defections.
 
-use super::common::{populate_swarm_with_mix, synthetic_torrent, SwarmSetup};
-use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
+use super::common::{populate_swarm_with_mix, synthetic_torrent, SwarmSetup, PIECE_LENGTH};
+use super::fig8::add_mobile_probe;
+use crate::flow::{Access, FlowConfig, FlowWorld};
 use crate::harness::SweepRunner;
 use crate::report::{mb, Table};
 use bittorrent::client::ClientConfig;
 use bittorrent::strategy::PopulationMix;
 use metrics::handle::MetricsHandle;
-use simnet::mobility::MobilityProcess;
-use simnet::time::{SimDuration, SimTime};
+use simnet::time::SimDuration;
 use wp2p::config::WP2pConfig;
 
 /// Base seed of the erosion sweep.
 pub const EROSION_SEED: u64 = 0xE805;
+
+/// Runs averaged per share point.
+const RUNS: usize = 3;
 
 /// Parameters for the erosion sweep.
 #[derive(Clone, Debug)]
@@ -38,20 +41,12 @@ pub struct ErosionParams {
     pub shares: Vec<f64>,
     /// File size.
     pub file_size: u64,
-    /// Piece length.
-    pub piece_length: u32,
     /// Background swarm (its leeches are the mixed population).
     pub swarm: SwarmSetup,
-    /// Hand-off period of the two mobile probes.
-    pub mobility_period: SimDuration,
-    /// Hand-off outage.
-    pub outage: SimDuration,
     /// Run length.
     pub duration: SimDuration,
     /// Wireless capacity of the two mobile probes.
     pub wireless_capacity: f64,
-    /// Runs to average per share point.
-    pub runs: u64,
 }
 
 impl ErosionParams {
@@ -60,7 +55,6 @@ impl ErosionParams {
         ErosionParams {
             shares: vec![0.0, 0.2, 0.4],
             file_size: 48 * 1024 * 1024,
-            piece_length: 256 * 1024,
             swarm: SwarmSetup {
                 seeds: 2,
                 seed_access: Access::Wired {
@@ -71,11 +65,8 @@ impl ErosionParams {
                 leech_access: Access::residential(),
                 leech_head_start: 0.5,
             },
-            mobility_period: SimDuration::from_secs(60),
-            outage: SimDuration::from_secs(5),
             duration: SimDuration::from_mins(10),
             wireless_capacity: 250_000.0,
-            runs: 3,
         }
     }
 
@@ -85,7 +76,6 @@ impl ErosionParams {
         ErosionParams {
             shares: vec![0.0, 0.1, 0.2, 0.3, 0.4],
             file_size: 688 * 1024 * 1024,
-            piece_length: 256 * 1024,
             swarm: SwarmSetup {
                 seeds: 20,
                 seed_access: Access::Wired {
@@ -96,11 +86,8 @@ impl ErosionParams {
                 leech_access: Access::residential(),
                 leech_head_start: 0.5,
             },
-            mobility_period: SimDuration::from_secs(60),
-            outage: SimDuration::from_secs(5),
             duration: SimDuration::from_mins(50),
             wireless_capacity: 500_000.0,
-            runs: 3,
         }
     }
 }
@@ -129,35 +116,12 @@ pub fn share_pct(share: f64) -> u32 {
 pub fn run_erosion_with(
     params: &ErosionParams,
     metrics: &MetricsHandle,
-    seed: u64,
-) -> Vec<ErosionPoint> {
-    run_erosion_impl(params, metrics, seed, None)
-}
-
-/// [`run_erosion_with`] pinned to an explicit worker count (determinism
-/// tests compare 1 vs many).
-pub fn run_erosion_with_threads(
-    params: &ErosionParams,
-    metrics: &MetricsHandle,
-    seed: u64,
-    threads: usize,
-) -> Vec<ErosionPoint> {
-    run_erosion_impl(params, metrics, seed, Some(threads))
-}
-
-fn run_erosion_impl(
-    params: &ErosionParams,
-    metrics: &MetricsHandle,
     base_seed: u64,
-    threads: Option<usize>,
 ) -> Vec<ErosionPoint> {
     let idxs: Vec<usize> = (0..params.shares.len()).collect();
     let dur = params.duration.as_secs_f64();
-    let mut runner = SweepRunner::new("erosion", base_seed).with_metrics(metrics);
-    if let Some(n) = threads {
-        runner = runner.with_threads(n);
-    }
-    let cells = runner.run(&idxs, params.runs as usize, |&i, cell| {
+    let runner = SweepRunner::new("erosion", base_seed).with_metrics(metrics);
+    let cells = runner.run(&idxs, RUNS, |&i, cell| {
         cell.add_virtual_secs(dur);
         let handle = if cell.point == 0 && cell.run == 0 {
             metrics.clone()
@@ -214,33 +178,23 @@ fn run_erosion_once(
     cfg.tracker.announce_interval = SimDuration::from_mins(5);
     let mut w = FlowWorld::new(cfg, world_seed);
     w.set_metrics(metrics);
-    let torrent =
-        synthetic_torrent("erosion.bin", params.piece_length, params.file_size, world_seed);
+    let torrent = synthetic_torrent("erosion.bin", PIECE_LENGTH, params.file_size, world_seed);
     let mix = PopulationMix::free_riders(share);
     populate_swarm_with_mix(&mut w, torrent, &params.swarm, mix, world_seed);
     let census = mix.census(world_seed, params.swarm.leeches as u64);
     let add_mobile = |w: &mut FlowWorld, retention: bool| {
-        let node = w.add_node(Access::Wireless {
-            capacity: params.wireless_capacity,
-        });
-        let task = w.add_task(TaskSpec {
-            node,
+        let wp2p = if retention {
+            WP2pConfig::identity_only()
+        } else {
+            WP2pConfig::default_client()
+        };
+        add_mobile_probe(
+            w,
             torrent,
-            start_complete: false,
-            start_fraction: None,
-            start_at: SimTime::ZERO,
-            make_config: Box::new(ClientConfig::default),
-            wp2p: if retention {
-                WP2pConfig::identity_only()
-            } else {
-                WP2pConfig::default_client()
-            },
-        });
-        w.set_mobility(
-            node,
-            MobilityProcess::with_jitter(params.mobility_period, params.outage, 0.05),
-        );
-        task
+            params.wireless_capacity,
+            Box::new(ClientConfig::default),
+            wp2p,
+        )
     };
     let default_task = add_mobile(&mut w, false);
     let retention_task = add_mobile(&mut w, true);
@@ -285,9 +239,11 @@ retained identity can collect from and the lead erodes toward zero",
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::with_worker_threads;
     use crate::invariants::InvariantChecker;
     use simnet::addr::NodeId;
     use simnet::fault::{FaultPlan, FaultPlanConfig};
+    use simnet::time::SimTime;
 
     fn tiny() -> ErosionParams {
         ErosionParams {
@@ -318,8 +274,12 @@ mod tests {
     #[test]
     fn worker_count_does_not_change_results() {
         let p = tiny();
-        let one = run_erosion_with_threads(&p, &MetricsHandle::disabled(), EROSION_SEED, 1);
-        let four = run_erosion_with_threads(&p, &MetricsHandle::disabled(), EROSION_SEED, 4);
+        let one = with_worker_threads(1, || {
+            run_erosion_with(&p, &MetricsHandle::disabled(), EROSION_SEED)
+        });
+        let four = with_worker_threads(4, || {
+            run_erosion_with(&p, &MetricsHandle::disabled(), EROSION_SEED)
+        });
         assert_eq!(one, four, "erosion sweep depends on worker count");
     }
 
@@ -363,7 +323,8 @@ mod tests {
     #[test]
     fn mixed_population_fault_replay_is_byte_identical() {
         let replay = |seed: u64| {
-            let torrent = synthetic_torrent("erosion-faults.bin", 256 * 1024, 4 * 1024 * 1024, seed);
+            let torrent =
+                synthetic_torrent("erosion-faults.bin", PIECE_LENGTH, 4 * 1024 * 1024, seed);
             let mut w = FlowWorld::new(FlowConfig::default(), seed);
             let mix = PopulationMix {
                 free_rider: 0.25,

@@ -7,7 +7,7 @@
 //! seed always produces byte-identical fault schedules and world traces,
 //! so a failing seed found in CI can be replayed locally unchanged.
 
-use crate::experiments::common::{populate_swarm, synthetic_torrent, SwarmSetup};
+use crate::experiments::common::{populate_swarm, synthetic_torrent, SwarmSetup, PIECE_LENGTH};
 use crate::experiments::params::ExperimentParams;
 use crate::experiments::registry::Report;
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
@@ -48,7 +48,7 @@ pub fn replay_flow(seed: u64, horizon: SimDuration) -> FlowReplay {
 /// hand-off latency, per-task series). Pass a disabled handle for the
 /// plain replay.
 pub fn replay_flow_with(seed: u64, horizon: SimDuration, handle: &MetricsHandle) -> FlowReplay {
-    let torrent = synthetic_torrent("faults.bin", 256 * 1024, 4 * 1024 * 1024, seed);
+    let torrent = synthetic_torrent("faults.bin", PIECE_LENGTH, 4 * 1024 * 1024, seed);
     let mut w = FlowWorld::new(FlowConfig::default(), seed);
     w.set_metrics(handle);
     let (_seeds, mut tasks) = populate_swarm(&mut w, torrent, &SwarmSetup::small());

@@ -24,6 +24,20 @@ pub const FIG2A_SEED: u64 = 0xF2A;
 /// Seed of the Fig. 2(b,c) paired traces.
 pub const FIG2BC_SEED: u64 = 0x2BC;
 
+/// Fig. 2(a)'s wireless channel capacity in bytes/second.
+const CHANNEL_BYTES_PER_SEC: u64 = 50_000;
+
+/// Fig. 2(b, c)'s observation window: the paper's 5 seconds, at both
+/// presets.
+const BC_DURATION: SimDuration = SimDuration::from_secs(5);
+/// Fig. 2(b, c)'s sampling bucket.
+const BC_BUCKET: SimDuration = SimDuration::from_millis(250);
+/// Fig. 2(b, c)'s channel capacity (bytes/second) — small, to force
+/// congestion.
+const BC_CHANNEL_BYTES_PER_SEC: u64 = 120_000;
+/// Fig. 2(b, c)'s queue size in frames — small, to force drops.
+const BC_QUEUE_FRAMES: usize = 12;
+
 /// Parameters for Fig. 2(a).
 #[derive(Clone, Debug)]
 pub struct Fig2aParams {
@@ -33,8 +47,6 @@ pub struct Fig2aParams {
     pub runs: u64,
     /// Measurement duration per run.
     pub duration: SimDuration,
-    /// Wireless channel capacity in bytes/second.
-    pub channel_bytes_per_sec: u64,
     /// Enable RFC 1122 delayed ACKs on both endpoints (ablation knob; the
     /// paper-era default is on in Linux, off here for clarity).
     pub delayed_ack: bool,
@@ -47,7 +59,6 @@ impl Fig2aParams {
             bers: vec![0.0, 1.0e-5, 2.0e-5],
             runs: 2,
             duration: SimDuration::from_secs(30),
-            channel_bytes_per_sec: 50_000,
             delayed_ack: false,
         }
     }
@@ -58,7 +69,6 @@ impl Fig2aParams {
             bers: vec![0.0, 0.5e-5, 1.0e-5, 1.5e-5, 2.0e-5],
             runs: 5,
             duration: SimDuration::from_secs(120),
-            channel_bytes_per_sec: 50_000,
             delayed_ack: false,
         }
     }
@@ -91,7 +101,6 @@ fn run_once(
     ber: f64,
     bidirectional: bool,
     duration: SimDuration,
-    cap: u64,
     delayed_ack: bool,
     metrics: &MetricsHandle,
     seed: u64,
@@ -105,11 +114,11 @@ fn run_once(
     cfg.tcp.delayed_ack = delayed_ack;
     let mut w = PacketWorld::new(cfg, seed);
     w.set_metrics(metrics);
-    let mobile = w.add_node(Some(channel(cap, ber, 100)));
+    let mobile = w.add_node(Some(channel(CHANNEL_BYTES_PER_SEC, ber, 100)));
     let fixed = w.add_node(None);
     let conn = w.open_tcp(mobile, fixed);
     // Enough backlog that the sender never runs dry.
-    let backlog = cap * duration.as_secs_f64() as u64 * 4;
+    let backlog = CHANNEL_BYTES_PER_SEC * duration.as_secs_f64() as u64 * 4;
     w.tcp_write(conn, false, backlog); // download direction
     if bidirectional {
         w.tcp_write(conn, true, backlog); // simultaneous upload
@@ -159,15 +168,7 @@ pub fn run_fig2a_with(
                 } else {
                     MetricsHandle::disabled()
                 };
-                run_once(
-                    ber,
-                    bi,
-                    params.duration,
-                    params.channel_bytes_per_sec,
-                    params.delayed_ack,
-                    &handle,
-                    seed,
-                )
+                run_once(ber, bi, params.duration, params.delayed_ack, &handle, seed)
             };
             (one(true), one(false))
         });
@@ -201,36 +202,6 @@ pub fn fig2a_table(points: &[Fig2aPoint]) -> Table {
     }
     t.note("paper: uni-TCP above bi-TCP everywhere; both fall with BER");
     t
-}
-
-/// Parameters for Fig. 2(b, c).
-#[derive(Clone, Debug)]
-pub struct Fig2bcParams {
-    /// Observation window.
-    pub duration: SimDuration,
-    /// Sampling bucket.
-    pub bucket: SimDuration,
-    /// Channel capacity (bytes/second) — small, to force congestion.
-    pub channel_bytes_per_sec: u64,
-    /// Queue size in frames — small, to force drops.
-    pub queue_frames: usize,
-}
-
-impl Fig2bcParams {
-    /// The paper's 5-second window.
-    pub fn paper() -> Self {
-        Fig2bcParams {
-            duration: SimDuration::from_secs(5),
-            bucket: SimDuration::from_millis(250),
-            channel_bytes_per_sec: 120_000,
-            queue_frames: 12,
-        }
-    }
-
-    /// CI-sized preset (same, it is already small).
-    pub fn quick() -> Self {
-        Self::paper()
-    }
 }
 
 /// Result of one Fig. 2(b)/(c) trace.
@@ -273,35 +244,31 @@ impl Fig2bcTrace {
     }
 }
 
-/// [`run_fig2bc`] with the world wired into `metrics` (per-endpoint TCP
-/// series, fault counters). Pass a disabled handle for a plain run.
-pub fn run_fig2bc_with(
-    params: &Fig2bcParams,
-    bidirectional: bool,
-    metrics: &MetricsHandle,
-    seed: u64,
-) -> Fig2bcTrace {
+/// Runs one Fig. 2(b)/(c) trace with the world wired into `metrics`
+/// (per-endpoint TCP series, fault counters). Pass a disabled handle for
+/// a plain run.
+pub fn run_fig2bc_with(bidirectional: bool, metrics: &MetricsHandle, seed: u64) -> Fig2bcTrace {
     let mut w = PacketWorld::new(PacketConfig::default(), seed);
     w.set_metrics(metrics);
     let mobile = w.add_node(Some(channel(
-        params.channel_bytes_per_sec,
+        BC_CHANNEL_BYTES_PER_SEC,
         0.0,
-        params.queue_frames,
+        BC_QUEUE_FRAMES,
     )));
     let fixed = w.add_node(None);
     let conn = w.open_tcp(mobile, fixed);
-    let backlog = params.channel_bytes_per_sec * 30;
+    let backlog = BC_CHANNEL_BYTES_PER_SEC * 30;
     w.tcp_write(conn, false, backlog);
     if bidirectional {
         w.tcp_write(conn, true, backlog);
     }
     // Sample the channel's Up-direction accepted counter per bucket.
-    let bucket_us = params.bucket.as_micros();
-    let nbuckets = (params.duration.as_micros() / bucket_us) as usize;
+    let bucket_us = BC_BUCKET.as_micros();
+    let nbuckets = (BC_DURATION.as_micros() / bucket_us) as usize;
     let mut packets = vec![0u64; nbuckets];
     let mut last_accepted = 0u64;
     let mut next_bucket = 0usize;
-    w.run_until(SimTime::ZERO + params.duration, |w| {
+    w.run_until(SimTime::ZERO + BC_DURATION, |w| {
         let t = w.now().as_micros();
         let bucket = (t / bucket_us) as usize;
         while next_bucket < bucket.min(nbuckets) {
@@ -316,7 +283,7 @@ pub fn run_fig2bc_with(
     let packets = packets
         .into_iter()
         .enumerate()
-        .map(|(i, n)| (i as f64 * params.bucket.as_secs_f64(), n))
+        .map(|(i, n)| (i as f64 * BC_BUCKET.as_secs_f64(), n))
         .collect();
     let drops = w
         .channel_drops(mobile)
@@ -326,15 +293,11 @@ pub fn run_fig2bc_with(
     Fig2bcTrace { packets, drops }
 }
 
-/// [`run_fig2bc_pair`] with metrics: the uni-directional arm's world is
-/// wired into `metrics` (single writer per series, so the dump stays
+/// Runs both Fig. 2(b)/(c) traces, `(uni, bi)`: the uni-directional
+/// arm's world is wired into `metrics` (single writer per series, so the dump stays
 /// deterministic under any worker count).
-pub fn run_fig2bc_pair_with(
-    params: &Fig2bcParams,
-    metrics: &MetricsHandle,
-    seed: u64,
-) -> (Fig2bcTrace, Fig2bcTrace) {
-    let dur = params.duration.as_secs_f64();
+pub fn run_fig2bc_pair_with(metrics: &MetricsHandle, seed: u64) -> (Fig2bcTrace, Fig2bcTrace) {
+    let dur = BC_DURATION.as_secs_f64();
     let mut traces = SweepRunner::new("fig2bc", seed)
         .with_metrics(metrics)
         .run(&[false, true], 1, |&bidirectional, cell| {
@@ -344,7 +307,7 @@ pub fn run_fig2bc_pair_with(
             } else {
                 metrics.clone()
             };
-            run_fig2bc_with(params, bidirectional, &handle, seed)
+            run_fig2bc_with(bidirectional, &handle, seed)
         })
         .into_iter()
         .flatten();
@@ -403,8 +366,8 @@ mod tests {
         run_fig2a_with(params, &MetricsHandle::disabled(), FIG2A_SEED)
     }
 
-    fn run_fig2bc_plain(params: &Fig2bcParams, bidirectional: bool, seed: u64) -> Fig2bcTrace {
-        run_fig2bc_with(params, bidirectional, &MetricsHandle::disabled(), seed)
+    fn run_fig2bc_plain(bidirectional: bool, seed: u64) -> Fig2bcTrace {
+        run_fig2bc_with(bidirectional, &MetricsHandle::disabled(), seed)
     }
 
     #[test]
@@ -433,16 +396,15 @@ mod tests {
 
     #[test]
     fn fig2bc_congestion_events_occur() {
-        let trace = run_fig2bc_plain(&Fig2bcParams::quick(), false, 7);
+        let trace = run_fig2bc_plain(false, 7);
         assert!(!trace.drops.is_empty(), "no congestion drops in the trace");
         assert!(trace.packets.iter().any(|&(_, n)| n > 0));
     }
 
     #[test]
     fn fig2bc_bi_keeps_wireless_leg_busier_after_drop() {
-        let params = Fig2bcParams::quick();
-        let uni = run_fig2bc_plain(&params, false, 3);
-        let bi = run_fig2bc_plain(&params, true, 3);
+        let uni = run_fig2bc_plain(false, 3);
+        let bi = run_fig2bc_plain(true, 3);
         assert!(!uni.drops.is_empty() && !bi.drops.is_empty());
         // The paper's observation, as a ratio: uni reduces its wireless-leg
         // packet count after congestion more than bi does.
@@ -465,8 +427,8 @@ mod tests {
         let pts = run_fig2a_plain(&params);
         let t = fig2a_table(&pts);
         assert_eq!(t.len(), 1);
-        let tr = run_fig2bc_plain(&Fig2bcParams::quick(), false, 1);
-        let tb = run_fig2bc_plain(&Fig2bcParams::quick(), true, 1);
+        let tr = run_fig2bc_plain(false, 1);
+        let tb = run_fig2bc_plain(true, 1);
         assert!(!fig2bc_table(&tr, &tb).is_empty());
     }
 

@@ -13,7 +13,7 @@
 //!   periodically regenerated peer-id voids accumulated credit and the
 //!   two mobility arms collapse together.
 
-use super::common::{populate_swarm, synthetic_torrent, SwarmSetup};
+use super::common::{populate_swarm, synthetic_torrent, SwarmSetup, PIECE_LENGTH};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
 use crate::harness::SweepRunner;
 use crate::report::{kbps, mb, Table};
@@ -38,8 +38,6 @@ pub struct Fig3abParams {
     pub tasks: usize,
     /// File size per task.
     pub file_size: u64,
-    /// Piece length.
-    pub piece_length: u32,
     /// Background swarm per task.
     pub swarm: SwarmSetup,
     /// Measurement duration.
@@ -57,7 +55,6 @@ impl Fig3abParams {
             fractions: vec![0.1, 0.3, 0.5, 0.7, 0.9],
             tasks: 2,
             file_size: 96 * 1024 * 1024,
-            piece_length: 256 * 1024,
             swarm: SwarmSetup {
                 seeds: 1,
                 seed_access: Access::Wired {
@@ -80,7 +77,6 @@ impl Fig3abParams {
             fractions: vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
             tasks: 5,
             file_size: 192 * 1024 * 1024,
-            piece_length: 256 * 1024,
             swarm: SwarmSetup {
                 seeds: 1,
                 seed_access: Access::Wired {
@@ -126,7 +122,7 @@ fn run_3ab_once(
         // Each task is a distinct swarm (the paper's five "tasks").
         let torrent = synthetic_torrent(
             &format!("task{i}.bin"),
-            params.piece_length,
+            PIECE_LENGTH,
             params.file_size,
             seed ^ (i as u64) << 8,
         );
@@ -153,16 +149,7 @@ fn run_3ab_once(
     w.start();
     w.run_for(params.duration, |_| {});
     let total: u64 = our_tasks.iter().map(|&t| w.downloaded_bytes(t)).sum();
-    let secs = params.duration.as_secs_f64();
-    if std::env::var("FIG3_DEBUG").is_ok() {
-        let up: u64 = our_tasks.iter().map(|&t| w.delivered_up_bytes(t)).sum();
-        eprintln!(
-            "  [debug] fraction={fraction:.1} down={:.1} up={:.1} KB/s",
-            total as f64 / secs / 1024.0,
-            up as f64 / secs / 1024.0
-        );
-    }
-    total as f64 / secs
+    total as f64 / params.duration.as_secs_f64()
 }
 
 fn run_3ab(
@@ -197,8 +184,8 @@ fn run_3ab(
         .collect()
 }
 
-/// [`run_fig3a`] on an explicit metrics handle and sweep base seed. The
-/// first cell's world is wired into `metrics`.
+/// Runs the Fig. 3(a) sweep (wired access) on an explicit metrics handle
+/// and sweep base seed. The first cell's world is wired into `metrics`.
 pub fn run_fig3a_with(
     params: &Fig3abParams,
     metrics: &MetricsHandle,
@@ -207,7 +194,8 @@ pub fn run_fig3a_with(
     run_3ab("fig3a", params, Access::residential(), metrics, base_seed)
 }
 
-/// [`run_fig3b`] on an explicit metrics handle and sweep base seed.
+/// Runs the Fig. 3(b) sweep (wireless access) on an explicit metrics
+/// handle and sweep base seed.
 pub fn run_fig3b_with(
     params: &Fig3abParams,
     metrics: &MetricsHandle,
@@ -254,8 +242,6 @@ pub fn fig3ab_table(title: &str, points: &[Fig3abPoint], expect: &str) -> Table 
 pub struct Fig3cParams {
     /// File size (paper: 100 MB).
     pub file_size: u64,
-    /// Piece length.
-    pub piece_length: u32,
     /// Run length (paper: 40 minutes).
     pub duration: SimDuration,
     /// Mobility period for the mobility arms.
@@ -273,7 +259,6 @@ impl Fig3cParams {
     pub fn quick() -> Self {
         Fig3cParams {
             file_size: 64 * 1024 * 1024,
-            piece_length: 256 * 1024,
             duration: SimDuration::from_mins(10),
             mobility_period: SimDuration::from_secs(60),
             outage: SimDuration::from_secs(8),
@@ -295,7 +280,6 @@ impl Fig3cParams {
     pub fn paper() -> Self {
         Fig3cParams {
             file_size: 100 * 1024 * 1024,
-            piece_length: 256 * 1024,
             duration: SimDuration::from_mins(40),
             mobility_period: SimDuration::from_secs(120),
             outage: SimDuration::from_secs(5),
@@ -375,7 +359,7 @@ pub struct Fig3cResult {
     pub final_bytes: u64,
 }
 
-/// [`run_fig3c_arm`] with the world wired into `metrics`.
+/// Runs one Fig. 3(c) arm with the world wired into `metrics`.
 pub fn run_fig3c_arm_with(
     params: &Fig3cParams,
     arm: Fig3cArm,
@@ -386,7 +370,7 @@ pub fn run_fig3c_arm_with(
     cfg.tracker.announce_interval = SimDuration::from_mins(5);
     let mut w = FlowWorld::new(cfg, seed);
     w.set_metrics(metrics);
-    let torrent = synthetic_torrent("fig3c.bin", params.piece_length, params.file_size, seed);
+    let torrent = synthetic_torrent("fig3c.bin", PIECE_LENGTH, params.file_size, seed);
     populate_swarm(&mut w, torrent, &params.swarm);
     let node = w.add_node(Access::Wireless {
         capacity: params.wireless_capacity,
@@ -419,7 +403,7 @@ pub fn run_fig3c_arm_with(
     }
 }
 
-/// [`run_fig3c`] with metrics: the first arm (no-mobility, uploading) is
+/// Runs all four Fig. 3(c) arms: the first arm (no-mobility, uploading) is
 /// wired into `metrics` — one world per handle keeps every series
 /// single-writer and the dump deterministic.
 pub fn run_fig3c_with(

@@ -11,7 +11,7 @@
 //!   rarest-first for a 5 MB and a 100 MB file (see
 //!   [`super::playability`]).
 
-use super::common::synthetic_torrent;
+use super::common::{synthetic_torrent, PIECE_LENGTH};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
 use crate::harness::SweepRunner;
 use crate::report::{kbps, Table};
@@ -32,24 +32,25 @@ pub use super::playability::{
     playability_table, run_playability_with, PlayabilityCurve, PlayabilityParams,
 };
 
+/// Number of mobile seeds serving the fixed peer (paper: 3).
+const SEEDS: usize = 3;
+/// Per-seed wireless capacity (bytes/second).
+const SEED_CAPACITY: f64 = 200_000.0;
+/// Hand-off outage.
+const OUTAGE: SimDuration = SimDuration::from_secs(5);
+/// Tracker announce interval (short enough that recovery happens within
+/// the sweep's timescales, as on the paper's testbed).
+const TRACKER_INTERVAL: SimDuration = SimDuration::from_secs(120);
+
 /// Parameters for Fig. 4(a).
 #[derive(Clone, Debug)]
 pub struct Fig4aParams {
     /// Hand-off periods to sweep; `None` is the no-mobility baseline.
     pub periods: Vec<Option<SimDuration>>,
-    /// Number of mobile seeds serving the fixed peer (paper: 3).
-    pub seeds: usize,
-    /// Per-seed wireless capacity (bytes/second).
-    pub seed_capacity: f64,
-    /// Hand-off outage.
-    pub outage: SimDuration,
     /// Measurement duration per run.
     pub duration: SimDuration,
     /// Runs to average.
     pub runs: u64,
-    /// Tracker announce interval (short enough that recovery happens
-    /// within the sweep's timescales, as on the paper's testbed).
-    pub tracker_interval: SimDuration,
 }
 
 impl Fig4aParams {
@@ -61,12 +62,8 @@ impl Fig4aParams {
                 Some(SimDuration::from_secs(120)),
                 Some(SimDuration::from_secs(30)),
             ],
-            seeds: 3,
-            seed_capacity: 200_000.0,
-            outage: SimDuration::from_secs(5),
             duration: SimDuration::from_mins(10),
             runs: 1,
-            tracker_interval: SimDuration::from_secs(120),
         }
     }
 
@@ -80,12 +77,8 @@ impl Fig4aParams {
                 Some(SimDuration::from_secs(60)),
                 Some(SimDuration::from_secs(30)),
             ],
-            seeds: 3,
-            seed_capacity: 200_000.0,
-            outage: SimDuration::from_secs(5),
             duration: SimDuration::from_mins(20),
             runs: 3,
-            tracker_interval: SimDuration::from_secs(120),
         }
     }
 }
@@ -110,7 +103,7 @@ fn run_4a_once(
 ) -> f64 {
     let cfg = FlowConfig {
         tracker: TrackerConfig {
-            announce_interval: params.tracker_interval,
+            announce_interval: TRACKER_INTERVAL,
             ..TrackerConfig::default()
         },
         ..FlowConfig::default()
@@ -118,15 +111,15 @@ fn run_4a_once(
     let mut w = FlowWorld::new(cfg, seed);
     w.set_metrics(metrics);
     // Large enough that the download never completes within the run.
-    let torrent = synthetic_torrent("big.iso", 256 * 1024, 4 * 1024 * 1024 * 1024, seed);
-    for i in 0..params.seeds {
+    let torrent = synthetic_torrent("big.iso", PIECE_LENGTH, 4 * 1024 * 1024 * 1024, seed);
+    for i in 0..SEEDS {
         let node = w.add_node(Access::Wireless {
-            capacity: params.seed_capacity,
+            capacity: SEED_CAPACITY,
         });
         w.add_task(TaskSpec::default_client(node, torrent, true));
         if i < mobile_seeds {
             if let Some(p) = period {
-                w.set_mobility(node, MobilityProcess::with_jitter(p, params.outage, 0.1));
+                w.set_mobility(node, MobilityProcess::with_jitter(p, OUTAGE, 0.1));
             }
         }
     }
@@ -145,7 +138,7 @@ fn run_4a_once(
     w.downloaded_bytes(task) as f64 / params.duration.as_secs_f64()
 }
 
-/// [`run_fig4a`] with metrics: the first cell's one-mobile world is
+/// Runs the Fig. 4(a) sweep: the first cell's one-mobile world is
 /// wired into `metrics` (hand-off counters/latency histogram included).
 pub fn run_fig4a_with(
     params: &Fig4aParams,
@@ -167,7 +160,7 @@ pub fn run_fig4a_with(
                 run_4a_once(
                     params,
                     period,
-                    params.seeds,
+                    SEEDS,
                     &MetricsHandle::disabled(),
                     cell.run_seed,
                 ),

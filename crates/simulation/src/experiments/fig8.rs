@@ -17,8 +17,8 @@
 //!   default's uploads strangle its own downloads; LIHD finds a better
 //!   operating point (paper: up to +70% at 200 KB/s).
 
-use super::common::{populate_swarm, synthetic_torrent, SwarmSetup};
-use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
+use super::common::{populate_swarm, synthetic_torrent, SwarmSetup, PIECE_LENGTH};
+use crate::flow::{Access, FlowConfig, FlowWorld, TaskKey, TaskSpec, TorrentSpec};
 use crate::harness::{run_seed, SweepRunner};
 use crate::packet::{PacketConfig, PacketWorld};
 use crate::report::{kbps, Table};
@@ -45,6 +45,9 @@ pub const FIG8C_SEED: u64 = 0xF8C;
 // Fig. 8(a): Age-based Manipulation
 // ---------------------------------------------------------------------
 
+/// Wireless capacity per Fig. 8(a) leech, bytes/second.
+const CHANNEL_BYTES_PER_SEC: u64 = 60_000;
+
 /// Parameters for Fig. 8(a).
 #[derive(Clone, Debug)]
 pub struct Fig8aParams {
@@ -54,8 +57,6 @@ pub struct Fig8aParams {
     pub file_size: u64,
     /// Piece length.
     pub piece_length: u32,
-    /// Wireless capacity per leech, bytes/second.
-    pub channel_bytes_per_sec: u64,
     /// Measurement duration.
     pub duration: SimDuration,
     /// Runs to average (paper: 5).
@@ -69,7 +70,6 @@ impl Fig8aParams {
             bers: vec![1.0e-6, 1.5e-5],
             file_size: 4 * 1024 * 1024,
             piece_length: 64 * 1024,
-            channel_bytes_per_sec: 60_000,
             duration: SimDuration::from_secs(60),
             runs: 2,
         }
@@ -81,7 +81,6 @@ impl Fig8aParams {
             bers: vec![1.0e-6, 5.0e-6, 1.0e-5, 1.5e-5],
             file_size: 32 * 1024 * 1024,
             piece_length: 256 * 1024,
-            channel_bytes_per_sec: 60_000,
             duration: SimDuration::from_secs(300),
             runs: 5,
         }
@@ -116,7 +115,7 @@ pub(crate) fn run_8a_once(
     // model without per-frame MAC cost, so AM's extra 40-byte pure ACKs
     // cost their byte share (~3%), not a frame-time multiple.
     let wlan = WirelessConfig {
-        bandwidth_bps: params.channel_bytes_per_sec * 8,
+        bandwidth_bps: CHANNEL_BYTES_PER_SEC * 8,
         prop_delay: SimDuration::from_millis(2),
         queue_frames: 100,
         ber,
@@ -147,7 +146,7 @@ pub(crate) fn run_8a_once(
     total as f64 / params.duration.as_secs_f64() / 2.0
 }
 
-/// [`run_fig8a`] with metrics: the first cell's default-client world is
+/// Runs the Fig. 8(a) sweep: the first cell's default-client world is
 /// wired into `metrics` (per-connection TCP and AM instruments included).
 pub fn run_fig8a_with(
     params: &Fig8aParams,
@@ -193,7 +192,7 @@ pub fn run_fig8a_with(
 
 /// Runs one Fig. 8(a)-style point with an explicit AM configuration
 /// (`None` = default client); averaged over the params' run count. Used
-/// by the AM component ablation. Seeds match [`run_fig8a`]'s.
+/// by the AM component ablation. Seeds match [`run_fig8a_with`]'s.
 pub fn run_fig8a_point(params: &Fig8aParams, am: Option<AmConfig>, ber: f64) -> f64 {
     let disabled = MetricsHandle::disabled();
     let xs: Vec<f64> = (0..params.runs)
@@ -232,19 +231,43 @@ tens of ms, so decoupling prevents no stalls; see EXPERIMENTS.md",
 // Fig. 8(b): identity retention
 // ---------------------------------------------------------------------
 
+/// Hand-off period of the Fig. 8(b) mobile probes (paper: 1 minute).
+/// The erosion and exploit experiments seat the same probes.
+const PROBE_MOBILITY_PERIOD: SimDuration = SimDuration::from_secs(60);
+/// Hand-off outage of the mobile probes.
+const PROBE_OUTAGE: SimDuration = SimDuration::from_secs(5);
+
+/// Seats one Fig. 8(b) mobile probe: a fresh wireless node of
+/// `capacity` running `make_config`/`wp2p`, handing off every
+/// [`PROBE_MOBILITY_PERIOD`] (±5%). Shared with the erosion and exploit
+/// experiments, whose probes are the same clients.
+pub(crate) fn add_mobile_probe(
+    w: &mut FlowWorld,
+    torrent: TorrentSpec,
+    capacity: f64,
+    make_config: Box<dyn Fn() -> ClientConfig>,
+    wp2p: WP2pConfig,
+) -> TaskKey {
+    let node = w.add_node(Access::Wireless { capacity });
+    let task = w.add_task(TaskSpec {
+        make_config,
+        wp2p,
+        ..TaskSpec::default_client(node, torrent, false)
+    });
+    w.set_mobility(
+        node,
+        MobilityProcess::with_jitter(PROBE_MOBILITY_PERIOD, PROBE_OUTAGE, 0.05),
+    );
+    task
+}
+
 /// Parameters for Fig. 8(b).
 #[derive(Clone, Debug)]
 pub struct Fig8bParams {
     /// File size (paper: 688 MB Fedora image).
     pub file_size: u64,
-    /// Piece length (paper default: 256 KB).
-    pub piece_length: u32,
     /// Background swarm.
     pub swarm: SwarmSetup,
-    /// Hand-off period (paper: 1 minute).
-    pub mobility_period: SimDuration,
-    /// Hand-off outage.
-    pub outage: SimDuration,
     /// Run length (paper: 50 minutes).
     pub duration: SimDuration,
     /// Wireless capacity of the two measured clients.
@@ -256,7 +279,6 @@ impl Fig8bParams {
     pub fn quick() -> Self {
         Fig8bParams {
             file_size: 64 * 1024 * 1024,
-            piece_length: 256 * 1024,
             swarm: SwarmSetup {
                 seeds: 3,
                 seed_access: Access::Wired {
@@ -267,8 +289,6 @@ impl Fig8bParams {
                 leech_access: Access::residential(),
                 leech_head_start: 0.5,
             },
-            mobility_period: SimDuration::from_secs(60),
-            outage: SimDuration::from_secs(5),
             duration: SimDuration::from_mins(12),
             wireless_capacity: 250_000.0,
         }
@@ -278,7 +298,6 @@ impl Fig8bParams {
     pub fn paper() -> Self {
         Fig8bParams {
             file_size: 688 * 1024 * 1024,
-            piece_length: 256 * 1024,
             swarm: SwarmSetup {
                 seeds: 20,
                 seed_access: Access::Wired {
@@ -289,8 +308,6 @@ impl Fig8bParams {
                 leech_access: Access::residential(),
                 leech_head_start: 0.5,
             },
-            mobility_period: SimDuration::from_secs(60),
-            outage: SimDuration::from_secs(5),
             duration: SimDuration::from_mins(50),
             wireless_capacity: 500_000.0,
         }
@@ -311,7 +328,7 @@ pub struct Fig8bResult {
     pub wp2p_bytes: u64,
 }
 
-/// [`run_fig8b`] with metrics: the (single) trace world is wired into
+/// Runs the Fig. 8(b) trace: the (single) world is wired into
 /// `metrics`, so the hand-off and retention dynamics are observable.
 pub fn run_fig8b_with(params: &Fig8bParams, metrics: &MetricsHandle, seed: u64) -> Fig8bResult {
     let dur = params.duration.as_secs_f64();
@@ -334,33 +351,24 @@ fn run_fig8b_once(params: &Fig8bParams, metrics: &MetricsHandle, seed: u64) -> F
     w.set_metrics(metrics);
     let torrent = synthetic_torrent(
         "Fedora-7-KDE-Live-i686.iso",
-        params.piece_length,
+        PIECE_LENGTH,
         params.file_size,
         seed,
     );
     populate_swarm(&mut w, torrent, &params.swarm);
     let add_mobile = |w: &mut FlowWorld, retention: bool| {
-        let node = w.add_node(Access::Wireless {
-            capacity: params.wireless_capacity,
-        });
-        let task = w.add_task(TaskSpec {
-            node,
+        let wp2p = if retention {
+            WP2pConfig::identity_only()
+        } else {
+            WP2pConfig::default_client()
+        };
+        add_mobile_probe(
+            w,
             torrent,
-            start_complete: false,
-            start_fraction: None,
-            start_at: SimTime::ZERO,
-            make_config: Box::new(ClientConfig::default),
-            wp2p: if retention {
-                WP2pConfig::identity_only()
-            } else {
-                WP2pConfig::default_client()
-            },
-        });
-        w.set_mobility(
-            node,
-            MobilityProcess::with_jitter(params.mobility_period, params.outage, 0.05),
-        );
-        task
+            params.wireless_capacity,
+            Box::new(ClientConfig::default),
+            wp2p,
+        )
     };
     let default_task = add_mobile(&mut w, false);
     let wp2p_task = add_mobile(&mut w, true);
@@ -409,8 +417,6 @@ pub struct Fig8cParams {
     pub capacities: Vec<f64>,
     /// File size.
     pub file_size: u64,
-    /// Piece length.
-    pub piece_length: u32,
     /// Background swarm (leech-heavy so the client's upload is in demand).
     pub swarm: SwarmSetup,
     /// Measurement duration.
@@ -425,7 +431,6 @@ impl Fig8cParams {
         Fig8cParams {
             capacities: vec![40.0 * 1024.0, 80.0 * 1024.0, 120.0 * 1024.0],
             file_size: 96 * 1024 * 1024,
-            piece_length: 256 * 1024,
             swarm: SwarmSetup {
                 seeds: 2,
                 seed_access: Access::Wired {
@@ -446,7 +451,6 @@ impl Fig8cParams {
         Fig8cParams {
             capacities: vec![40.0 * 1024.0, 60.0 * 1024.0, 80.0 * 1024.0, 120.0 * 1024.0],
             file_size: 192 * 1024 * 1024,
-            piece_length: 256 * 1024,
             swarm: SwarmSetup {
                 seeds: 3,
                 seed_access: Access::Wired {
@@ -483,7 +487,7 @@ fn run_8c_once(
 ) -> f64 {
     let mut w = FlowWorld::new(FlowConfig::default(), seed);
     w.set_metrics(metrics);
-    let torrent = synthetic_torrent("fig8c.bin", params.piece_length, params.file_size, seed);
+    let torrent = synthetic_torrent("fig8c.bin", PIECE_LENGTH, params.file_size, seed);
     populate_swarm(&mut w, torrent, &params.swarm);
     let node = w.add_node(Access::Wireless { capacity });
     let task = w.add_task(TaskSpec {
@@ -507,7 +511,7 @@ fn run_8c_once(
     w.downloaded_bytes(task) as f64 / params.duration.as_secs_f64()
 }
 
-/// [`run_fig8c`] with metrics: the first cell's LIHD world is wired into
+/// Runs the Fig. 8(c) sweep: the first cell's LIHD world is wired into
 /// `metrics` (per-client LIHD step instruments included).
 pub fn run_fig8c_with(
     params: &Fig8cParams,

@@ -10,7 +10,7 @@
 //!   until leeches re-poll the tracker; a role-reversing seed dials its
 //!   stored peers the moment it reconnects.
 
-use super::common::{synthetic_torrent, SwarmSetup};
+use super::common::{populate_swarm, synthetic_torrent, SwarmSetup, PIECE_LENGTH};
 use super::playability::{run_playability_with, PlayabilityCurve, PlayabilityParams};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
 use crate::harness::SweepRunner;
@@ -42,7 +42,7 @@ pub struct Fig9abResult {
     pub wp2p_curve: PlayabilityCurve,
 }
 
-/// [`run_fig9ab`] with metrics: only the default arm is wired into
+/// Runs one Fig. 9(a)/(b) panel: only the default arm is wired into
 /// `metrics` (the series writers must stay single-run deterministic).
 pub fn run_fig9ab_with(
     params: &PlayabilityParams,
@@ -69,6 +69,13 @@ pub fn fig9ab_table(title: &str, result: &Fig9abResult) -> Table {
 // Fig. 9(c): role reversal
 // ---------------------------------------------------------------------
 
+/// Wireless capacity of each Fig. 9(c) mobile seed.
+const SEED_CAPACITY: f64 = 150_000.0;
+/// Hand-off outage of the mobile seeds.
+const OUTAGE: SimDuration = SimDuration::from_secs(5);
+/// Tracker announce interval (bounds leech rediscovery).
+const TRACKER_INTERVAL: SimDuration = SimDuration::from_secs(150);
+
 /// Parameters for Fig. 9(c).
 #[derive(Clone, Debug)]
 pub struct Fig9cParams {
@@ -76,21 +83,13 @@ pub struct Fig9cParams {
     pub periods: Vec<SimDuration>,
     /// File size (paper: the 688 MB Fedora image; scaled here).
     pub file_size: u64,
-    /// Piece length.
-    pub piece_length: u32,
     /// Background swarm (has its own seed so leeches are never starved —
     /// the mobile seeds' dead time is pure upload loss).
     pub swarm: SwarmSetup,
-    /// Wireless capacity of each mobile seed.
-    pub seed_capacity: f64,
-    /// Hand-off outage.
-    pub outage: SimDuration,
     /// Measurement duration.
     pub duration: SimDuration,
     /// Runs to average (paper: 10).
     pub runs: u64,
-    /// Tracker announce interval (bounds leech rediscovery).
-    pub tracker_interval: SimDuration,
 }
 
 impl Fig9cParams {
@@ -99,7 +98,6 @@ impl Fig9cParams {
         Fig9cParams {
             periods: vec![SimDuration::from_secs(240), SimDuration::from_secs(120)],
             file_size: 64 * 1024 * 1024,
-            piece_length: 256 * 1024,
             swarm: SwarmSetup {
                 seeds: 1,
                 seed_access: Access::Wired {
@@ -110,11 +108,8 @@ impl Fig9cParams {
                 leech_access: Access::residential(),
                 leech_head_start: 0.5,
             },
-            seed_capacity: 150_000.0,
-            outage: SimDuration::from_secs(5),
             duration: SimDuration::from_mins(10),
             runs: 1,
-            tracker_interval: SimDuration::from_secs(150),
         }
     }
 
@@ -127,7 +122,6 @@ impl Fig9cParams {
                 SimDuration::from_secs(120),
             ],
             file_size: 256 * 1024 * 1024,
-            piece_length: 256 * 1024,
             swarm: SwarmSetup {
                 seeds: 2,
                 seed_access: Access::Wired {
@@ -138,11 +132,8 @@ impl Fig9cParams {
                 leech_access: Access::residential(),
                 leech_head_start: 0.5,
             },
-            seed_capacity: 150_000.0,
-            outage: SimDuration::from_secs(5),
             duration: SimDuration::from_mins(20),
             runs: 5,
-            tracker_interval: SimDuration::from_secs(150),
         }
     }
 }
@@ -167,19 +158,19 @@ fn run_9c_once(
 ) -> f64 {
     let cfg = FlowConfig {
         tracker: TrackerConfig {
-            announce_interval: params.tracker_interval,
+            announce_interval: TRACKER_INTERVAL,
             ..TrackerConfig::default()
         },
         ..FlowConfig::default()
     };
     let mut w = FlowWorld::new(cfg, seed);
     w.set_metrics(metrics);
-    let torrent = synthetic_torrent("fig9c.iso", params.piece_length, params.file_size, seed);
-    super::common::populate_swarm(&mut w, torrent, &params.swarm);
+    let torrent = synthetic_torrent("fig9c.iso", PIECE_LENGTH, params.file_size, seed);
+    populate_swarm(&mut w, torrent, &params.swarm);
     let mut tasks = Vec::new();
     for _ in 0..2 {
         let node = w.add_node(Access::Wireless {
-            capacity: params.seed_capacity,
+            capacity: SEED_CAPACITY,
         });
         let task = w.add_task(TaskSpec {
             node,
@@ -194,10 +185,7 @@ fn run_9c_once(
                 WP2pConfig::default_client()
             },
         });
-        w.set_mobility(
-            node,
-            MobilityProcess::with_jitter(period, params.outage, 0.1),
-        );
+        w.set_mobility(node, MobilityProcess::with_jitter(period, OUTAGE, 0.1));
         tasks.push(task);
     }
     w.start();
@@ -206,7 +194,7 @@ fn run_9c_once(
     total as f64 / params.duration.as_secs_f64() / 2.0
 }
 
-/// [`run_fig9c`] with metrics: the first cell's role-reversal world is
+/// Runs the Fig. 9(c) sweep: the first cell's role-reversal world is
 /// wired into `metrics`.
 pub fn run_fig9c_with(
     params: &Fig9cParams,

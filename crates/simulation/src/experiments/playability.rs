@@ -21,8 +21,6 @@ pub struct PlayabilityParams {
     pub file_size: u64,
     /// Piece length (the paper's default 256 KB).
     pub piece_length: u32,
-    /// Background swarm.
-    pub swarm: SwarmSetup,
     /// Access network of the measured client.
     pub client_access: Access,
     /// Runs to average (paper: 10 for Fig. 4, 20 for Fig. 9).
@@ -39,7 +37,6 @@ impl PlayabilityParams {
         PlayabilityParams {
             file_size: 5 * 1024 * 1024,
             piece_length: 256 * 1024,
-            swarm: SwarmSetup::small(),
             client_access: Access::Wireless {
                 capacity: 200_000.0,
             },
@@ -63,7 +60,6 @@ impl PlayabilityParams {
         PlayabilityParams {
             file_size: 25 * 1024 * 1024,
             piece_length: 256 * 1024,
-            swarm: SwarmSetup::small(),
             client_access: Access::Wireless {
                 capacity: 400_000.0,
             },
@@ -106,7 +102,7 @@ impl PlayabilityCurve {
     }
 }
 
-/// [`run_playability`] with metrics: the first run's world is wired into
+/// Measures one playability curve: the first run's world is wired into
 /// `metrics`, and the measured client's playable fraction is recorded as
 /// the `playability.playable` series.
 pub fn run_playability_with(
@@ -132,7 +128,7 @@ pub fn run_playability_with(
             w.set_metrics(&handle);
             let torrent =
                 synthetic_torrent("media.mpg", params.piece_length, params.file_size, seed);
-            populate_swarm(&mut w, torrent, &params.swarm);
+            populate_swarm(&mut w, torrent, &SwarmSetup::small());
             let node = w.add_node(params.client_access);
             let task = w.add_task(TaskSpec {
                 node,
@@ -236,7 +232,6 @@ mod tests {
             runs: 2,
             grid: 10,
             timeout: SimDuration::from_mins(8),
-            ..PlayabilityParams::quick_5mb()
         }
     }
 

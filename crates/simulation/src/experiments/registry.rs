@@ -161,9 +161,8 @@ static EXPERIMENTS: &[&dyn Experiment] = &[
         name: "fig2bc",
         title: "Packets sent from client on the wireless leg over time",
         seed: FIG2BC_SEED,
-        run: |params, metrics, seed| {
-            let p = params.pick(fig2::Fig2bcParams::quick, fig2::Fig2bcParams::paper);
-            let (uni, bi) = fig2::run_fig2bc_pair_with(&p, metrics, seed);
+        run: |_, metrics, seed| {
+            let (uni, bi) = fig2::run_fig2bc_pair_with(metrics, seed);
             Report {
                 tables: vec![fig2::fig2bc_table(&uni, &bi)],
                 text: fig2::fig2bc_summary(&uni, &bi),

@@ -220,17 +220,14 @@ pub fn run_scale_once(
     }
 }
 
-fn run_scale_impl(
+/// Runs the scale sweep on an explicit metrics handle and base seed.
+pub fn run_scale_with(
     params: &ScaleParams,
     metrics: &MetricsHandle,
     base_seed: u64,
-    threads: Option<usize>,
 ) -> Vec<ScalePoint> {
     let dur = params.duration.as_secs_f64();
-    let mut runner = SweepRunner::new("scale", base_seed).with_metrics(metrics);
-    if let Some(n) = threads {
-        runner = runner.with_threads(n);
-    }
+    let runner = SweepRunner::new("scale", base_seed).with_metrics(metrics);
     let cells = runner.run(&params.sizes, params.runs as usize, |&size, cell| {
         cell.add_virtual_secs(dur);
         let handle = if cell.point == 0 && cell.run == 0 {
@@ -273,26 +270,6 @@ fn run_scale_impl(
         g("solver_resources_touched").set(p.cell.solver_resources_touched as f64);
     }
     points
-}
-
-/// Runs the scale sweep on an explicit metrics handle and base seed.
-pub fn run_scale_with(
-    params: &ScaleParams,
-    metrics: &MetricsHandle,
-    base_seed: u64,
-) -> Vec<ScalePoint> {
-    run_scale_impl(params, metrics, base_seed, None)
-}
-
-/// [`run_scale_with`] pinned to a worker count (the determinism tests
-/// compare 1 vs 4 without touching `WP2P_THREADS`).
-pub fn run_scale_with_threads(
-    params: &ScaleParams,
-    metrics: &MetricsHandle,
-    base_seed: u64,
-    threads: usize,
-) -> Vec<ScalePoint> {
-    run_scale_impl(params, metrics, base_seed, Some(threads))
 }
 
 /// Renders the sweep. Deliberately no wall-clock column: the table is
@@ -338,6 +315,7 @@ pub fn scale_table(points: &[ScalePoint]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::with_worker_threads;
 
     fn tiny() -> ScaleParams {
         ScaleParams {
@@ -363,8 +341,12 @@ mod tests {
     #[test]
     fn scale_sweep_deterministic_across_worker_counts() {
         let params = tiny();
-        let a = run_scale_with_threads(&params, &MetricsHandle::disabled(), SCALE_SEED, 1);
-        let b = run_scale_with_threads(&params, &MetricsHandle::disabled(), SCALE_SEED, 4);
+        let a = with_worker_threads(1, || {
+            run_scale_with(&params, &MetricsHandle::disabled(), SCALE_SEED)
+        });
+        let b = with_worker_threads(4, || {
+            run_scale_with(&params, &MetricsHandle::disabled(), SCALE_SEED)
+        });
         assert_eq!(a, b, "scale sweep must not depend on worker count");
         assert!(a.iter().all(|p| p.cell.events > 0));
         assert!(a.iter().all(|p| p.mean_progress > 0.0));

@@ -24,7 +24,7 @@
 //! `search.near_miss` (candidates that came within 10 % of the best
 //! score without beating it) land in the metrics registry.
 
-use super::common::synthetic_torrent;
+use super::common::{synthetic_torrent, PIECE_LENGTH};
 use super::params::ExperimentParams;
 use super::registry::Report;
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
@@ -46,7 +46,7 @@ use simnet::time::{SimDuration, SimTime};
 /// chaos soak exercises, small enough that a restore-and-run arm is
 /// cheap.
 pub fn diagnostic_world(seed: u64, file_size: u64) -> FlowWorld {
-    let torrent = synthetic_torrent("diag.bin", 256 * 1024, file_size, seed);
+    let torrent = synthetic_torrent("diag.bin", PIECE_LENGTH, file_size, seed);
     let cfg = FlowConfig {
         stall_timeout: Some(SimDuration::from_secs(15)),
         ..FlowConfig::default()

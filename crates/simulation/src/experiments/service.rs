@@ -27,11 +27,12 @@
 //! series, and both clustering coefficients replay byte-identically
 //! under any worker count.
 
-use super::common::synthetic_torrent;
+use super::common::{synthetic_torrent, PIECE_LENGTH};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskKey, TaskSpec, TorrentSpec};
 use crate::harness::SweepRunner;
 use crate::report::{pct, Table};
 use metrics::handle::MetricsHandle;
+use metrics::stats::percentile;
 use simnet::mobility::MobilityProcess;
 use simnet::rng::SimRng;
 use simnet::time::{SimDuration, SimTime};
@@ -51,6 +52,36 @@ pub const CLASS_UP: [f64; CLASSES] = [24_000.0, 96_000.0, 384_000.0];
 /// had time to converge and the seed no longer dominates transfers.
 const CLUSTER_WARMUP: SimDuration = SimDuration::from_secs(40);
 
+/// Zipf exponent of the swarm-size distribution.
+const ZIPF_S: f64 = 1.0;
+
+/// Mobile share of the mobile probe swarm's leeches.
+const PROBE_MOBILE_FRACTION: f64 = 0.3;
+
+/// Mobile share of background leeches (wireless + hand-offs).
+const MOBILE_FRACTION: f64 = 0.15;
+
+/// Share of background leech memberships placed on shared multi-swarm
+/// nodes.
+const MULTI_SWARM_FRACTION: f64 = 0.15;
+
+/// Every k-th background swarm is seeded by a shared super-seed node
+/// instead of a dedicated one.
+const SUPER_SEED_EVERY: usize = 8;
+
+/// Swarms served per super-seed node.
+const SUPER_SEED_SWARMS: usize = 4;
+
+/// Diurnal amplitude in [0, 1): hand-off periods swing by this factor
+/// across the day.
+const DIURNAL_AMP: f64 = 0.6;
+
+/// Base mobile hand-off period (before diurnal modulation).
+const HANDOFF_PERIOD: SimDuration = SimDuration::from_secs(40);
+
+/// Hand-off outage length.
+const HANDOFF_OUTAGE: SimDuration = SimDuration::from_secs(2);
+
 /// Parameters of the multi-swarm service run.
 #[derive(Clone, Debug)]
 pub struct ServiceParams {
@@ -61,8 +92,6 @@ pub struct ServiceParams {
     /// Target total background memberships (seeds + leeches) across all
     /// swarms; Zipf clamping can push the realised total slightly above.
     pub total_peers: usize,
-    /// Zipf exponent of the swarm-size distribution.
-    pub zipf_s: f64,
     /// Smallest background swarm (members, incl. its seed).
     pub min_swarm: usize,
     /// File size of background swarms.
@@ -70,23 +99,9 @@ pub struct ServiceParams {
     /// File size of the probe swarms (longer transfer: the clustering
     /// signal needs several rechoke rounds).
     pub probe_file_size: u64,
-    /// Piece length everywhere.
-    pub piece_length: u32,
     /// Probe leeches per upload class (each probe swarm has
     /// `CLASSES * this` leeches plus one campus seed).
     pub probe_leeches_per_class: usize,
-    /// Mobile share of the mobile probe swarm's leeches.
-    pub probe_mobile_fraction: f64,
-    /// Mobile share of background leeches (wireless + hand-offs).
-    pub mobile_fraction: f64,
-    /// Share of background leech memberships placed on shared
-    /// multi-swarm nodes.
-    pub multi_swarm_fraction: f64,
-    /// Every k-th background swarm is seeded by a shared super-seed
-    /// node instead of a dedicated one (0 = never).
-    pub super_seed_every: usize,
-    /// Swarms served per super-seed node.
-    pub super_seed_swarms: usize,
     /// Shared uplink of a super-seed across its swarms, bytes/second —
     /// the cross-swarm token bucket.
     pub super_seed_cap: f64,
@@ -99,13 +114,6 @@ pub struct ServiceParams {
     pub flash_size: usize,
     /// Length of the compressed "day" for diurnal modulation.
     pub day_length: SimDuration,
-    /// Diurnal amplitude in [0, 1): hand-off periods swing by this
-    /// factor across the day.
-    pub diurnal_amp: f64,
-    /// Base mobile hand-off period (before diurnal modulation).
-    pub handoff_period: SimDuration,
-    /// Hand-off outage length.
-    pub handoff_outage: SimDuration,
     /// Shard taken down mid-run (the partial-service fault).
     pub outage_shard: usize,
     /// When the shard goes down.
@@ -119,8 +127,6 @@ pub struct ServiceParams {
     /// Fixed-probe clustering coefficient the run asserts (emergence
     /// margin; the mobile probe is measured, not asserted).
     pub cluster_margin: f64,
-    /// Runs (replays) per sweep cell.
-    pub runs: u64,
 }
 
 impl ServiceParams {
@@ -130,7 +136,6 @@ impl ServiceParams {
             swarms: 256,
             tracker_shards: 4,
             total_peers: 8192,
-            zipf_s: 1.0,
             min_swarm: 5,
             file_size: 1024 * 1024,
             // Sized so the fastest class leeches for ~12 rechoke
@@ -138,28 +143,18 @@ impl ServiceParams {
             // — small probe files finish inside one or two rechokes
             // and tit-for-tat clustering never converges.
             probe_file_size: 48 * 1024 * 1024,
-            piece_length: 256 * 1024,
             probe_leeches_per_class: 8,
-            probe_mobile_fraction: 0.3,
-            mobile_fraction: 0.15,
-            multi_swarm_fraction: 0.15,
-            super_seed_every: 8,
-            super_seed_swarms: 4,
             super_seed_cap: 400_000.0,
             flash_crowds: 12,
             flash_mean_gap: SimDuration::from_secs(20),
             flash_size: 12,
             day_length: SimDuration::from_secs(300),
-            diurnal_amp: 0.6,
-            handoff_period: SimDuration::from_secs(40),
-            handoff_outage: SimDuration::from_secs(2),
             outage_shard: 1,
             outage_at: SimDuration::from_secs(120),
             outage_len: SimDuration::from_secs(60),
             sample_every: SimDuration::from_secs(10),
             horizon: SimDuration::from_secs(600),
             cluster_margin: 1.05,
-            runs: 1,
         }
     }
 
@@ -329,15 +324,11 @@ fn diurnal_factor(phase: f64, amp: f64) -> f64 {
 /// A diurnally modulated mobile hand-off assignment. The phase is where
 /// the host's activity falls in the compressed day: flash arrivals use
 /// their arrival time, initial members draw a personal offset.
-fn mobile_assignment(
-    params: &ServiceParams,
-    phase: f64,
-    rng: &mut SimRng,
-) -> (SimDuration, SimDuration) {
-    let f = diurnal_factor(phase, params.diurnal_amp);
-    let base = params.handoff_period.as_secs_f64() * f;
+fn mobile_assignment(phase: f64, rng: &mut SimRng) -> (SimDuration, SimDuration) {
+    let f = diurnal_factor(phase, DIURNAL_AMP);
+    let base = HANDOFF_PERIOD.as_secs_f64() * f;
     let period = rng.jitter(base, 0.2).max(2.0);
-    (SimDuration::from_secs_f64(period), params.handoff_outage)
+    (SimDuration::from_secs_f64(period), HANDOFF_OUTAGE)
 }
 
 /// Generates the full service workload: a pure function of
@@ -349,12 +340,12 @@ pub fn generate_workload(params: &ServiceParams, seed: u64) -> ServiceWorkload {
     let mut swarms = Vec::with_capacity(params.swarms + 2);
 
     // Probe swarms first: 3 upload classes round-robin; the mobile
-    // probe marks an exact `probe_mobile_fraction` share mobile,
+    // probe marks an exact `PROBE_MOBILE_FRACTION` share mobile,
     // spread across classes.
     for kind in [SwarmKind::FixedProbe, SwarmKind::MobileProbe] {
         let n = CLASSES * params.probe_leeches_per_class;
         let mobile_count = if kind == SwarmKind::MobileProbe {
-            (params.probe_mobile_fraction * n as f64).round() as usize
+            (PROBE_MOBILE_FRACTION * n as f64).round() as usize
         } else {
             0
         };
@@ -363,12 +354,7 @@ pub fn generate_workload(params: &ServiceParams, seed: u64) -> ServiceWorkload {
             SwarmKind::MobileProbe => "svc-probe-mobile.bin",
             SwarmKind::Background => unreachable!(),
         };
-        let torrent = synthetic_torrent(
-            name,
-            params.piece_length,
-            params.probe_file_size,
-            seed ^ 0x9e37,
-        );
+        let torrent = synthetic_torrent(name, PIECE_LENGTH, params.probe_file_size, seed ^ 0x9e37);
         let mut leeches = Vec::with_capacity(n);
         for i in 0..n {
             // i*mobile_count/n < mobile_count exactly mobile_count
@@ -381,7 +367,7 @@ pub fn generate_workload(params: &ServiceParams, seed: u64) -> ServiceWorkload {
             // leech phase and blur the class signal the probe measures.
             leeches.push(LeechPlan {
                 class: (i % CLASSES) as u8,
-                mobile: mobile.then(|| mobile_assignment(params, phase, &mut rng)),
+                mobile: mobile.then(|| mobile_assignment(phase, &mut rng)),
                 head_start: 0.0,
                 shared_node: None,
                 start_at: SimTime::ZERO,
@@ -399,29 +385,22 @@ pub fn generate_workload(params: &ServiceParams, seed: u64) -> ServiceWorkload {
     // Background swarms: Zipf-distributed sizes summing to roughly the
     // membership target (min-size clamping can only push it up).
     let harmonic: f64 = (0..params.swarms)
-        .map(|k| 1.0 / ((k + 1) as f64).powf(params.zipf_s))
+        .map(|k| 1.0 / ((k + 1) as f64).powf(ZIPF_S))
         .sum();
     let scale = params.total_peers as f64 / harmonic.max(1e-9);
-    let shared_pool = ((params.total_peers as f64 * params.multi_swarm_fraction / 2.5) as usize)
-        .max(1);
-    let super_pool = params
-        .swarms
-        .checked_div(params.super_seed_every)
-        .map_or(0, |per| (per / params.super_seed_swarms.max(1)).max(1));
+    let shared_pool = ((params.total_peers as f64 * MULTI_SWARM_FRACTION / 2.5) as usize).max(1);
+    let super_pool = (params.swarms / SUPER_SEED_EVERY / SUPER_SEED_SWARMS).max(1);
     let mut super_assigned = 0usize;
     for k in 0..params.swarms {
-        let raw = scale / ((k + 1) as f64).powf(params.zipf_s);
+        let raw = scale / ((k + 1) as f64).powf(ZIPF_S);
         let size = (raw.round() as usize).max(params.min_swarm);
         let torrent = synthetic_torrent(
             &format!("svc-{k}.bin"),
-            params.piece_length,
+            PIECE_LENGTH,
             params.file_size,
             seed.wrapping_add(k as u64),
         );
-        let super_seed = if params.super_seed_every != 0
-            && k % params.super_seed_every == 0
-            && super_pool > 0
-        {
+        let super_seed = if k % SUPER_SEED_EVERY == 0 {
             let idx = super_assigned % super_pool;
             super_assigned += 1;
             Some(idx)
@@ -431,8 +410,8 @@ pub fn generate_workload(params: &ServiceParams, seed: u64) -> ServiceWorkload {
         let mut leeches = Vec::with_capacity(size - 1);
         let mut used_shared: Vec<usize> = Vec::new();
         for i in 0..size - 1 {
-            let mobile = rng.chance(params.mobile_fraction);
-            let shared_node = if !mobile && rng.chance(params.multi_swarm_fraction) {
+            let mobile = rng.chance(MOBILE_FRACTION);
+            let shared_node = if !mobile && rng.chance(MULTI_SWARM_FRACTION) {
                 let cand = rng.range(0..shared_pool);
                 if used_shared.contains(&cand) {
                     None
@@ -446,7 +425,7 @@ pub fn generate_workload(params: &ServiceParams, seed: u64) -> ServiceWorkload {
             let phase = rng.unit();
             leeches.push(LeechPlan {
                 class: 0,
-                mobile: mobile.then(|| mobile_assignment(params, phase, &mut rng)),
+                mobile: mobile.then(|| mobile_assignment(phase, &mut rng)),
                 head_start: 0.4 * (i + 1) as f64 / size as f64,
                 shared_node,
                 start_at: SimTime::ZERO,
@@ -480,10 +459,10 @@ pub fn generate_workload(params: &ServiceParams, seed: u64) -> ServiceWorkload {
         for j in 0..size {
             let jitter = SimDuration::from_millis((j as u64 % 8) * 250);
             let phase = (t / params.day_length.as_secs_f64()).fract();
-            let mobile = frng.chance(params.mobile_fraction);
+            let mobile = frng.chance(MOBILE_FRACTION);
             swarms[swarm].leeches.push(LeechPlan {
                 class: 0,
-                mobile: mobile.then(|| mobile_assignment(params, phase, &mut frng)),
+                mobile: mobile.then(|| mobile_assignment(phase, &mut frng)),
                 head_start: 0.0,
                 shared_node: None,
                 start_at: at + jitter,
@@ -655,14 +634,6 @@ pub struct ServiceOutcome {
     pub workload_digest: u64,
 }
 
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Per-leech cumulative download bytes, keyed by sending task (sorted).
 /// Row `i` belongs to `leeches[i]`.
 type ByteMatrix = Vec<Vec<(TaskKey, u64)>>;
@@ -821,18 +792,20 @@ pub fn run_service_world(params: &ServiceParams, seed: u64) -> ServiceOutcome {
     }
 }
 
-fn run_service_impl(
+/// Runs the service tier on an explicit metrics handle and base seed.
+///
+/// # Panics
+///
+/// Panics when upload-class clustering fails to emerge in the fixed
+/// probe swarm — emergence is asserted, not reported.
+pub fn run_service_with(
     params: &ServiceParams,
     metrics: &MetricsHandle,
     base_seed: u64,
-    threads: Option<usize>,
 ) -> ServiceOutcome {
-    let mut runner = SweepRunner::new("service", base_seed).with_metrics(metrics);
-    if let Some(n) = threads {
-        runner = runner.with_threads(n);
-    }
+    let runner = SweepRunner::new("service", base_seed).with_metrics(metrics);
     let points = [0usize];
-    let cells = runner.run(&points, params.runs as usize, |_, cell| {
+    let cells = runner.run(&points, 1, |_, cell| {
         cell.add_virtual_secs(params.horizon.as_secs_f64());
         run_service_world(params, cell.seed)
     });
@@ -897,31 +870,6 @@ coefficient {:.3} < margin {:.3}",
     outcome
 }
 
-/// Runs the service tier on an explicit metrics handle and base seed.
-///
-/// # Panics
-///
-/// Panics when upload-class clustering fails to emerge in the fixed
-/// probe swarm — emergence is asserted, not reported.
-pub fn run_service_with(
-    params: &ServiceParams,
-    metrics: &MetricsHandle,
-    base_seed: u64,
-) -> ServiceOutcome {
-    run_service_impl(params, metrics, base_seed, None)
-}
-
-/// [`run_service_with`] pinned to a worker count (the determinism tests
-/// compare 1 vs 4 without touching `WP2P_THREADS`).
-pub fn run_service_with_threads(
-    params: &ServiceParams,
-    metrics: &MetricsHandle,
-    base_seed: u64,
-    threads: usize,
-) -> ServiceOutcome {
-    run_service_impl(params, metrics, base_seed, Some(threads))
-}
-
 /// Renders the service run: tier shape, clustering, per-shard load
 /// peaks, and completion percentiles over the swarm population.
 pub fn service_table(o: &ServiceOutcome) -> Table {
@@ -984,6 +932,7 @@ pub fn service_table(o: &ServiceOutcome) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::with_worker_threads;
 
     /// A deliberately tiny tier: seconds, not minutes, per run.
     fn tiny() -> ServiceParams {
@@ -1046,10 +995,9 @@ mod tests {
 
     #[test]
     fn diurnal_modulation_swings_handoff_periods() {
-        let p = ServiceParams::quick();
         // Mid-day (phase 0.25) churns hardest; night (0.75) least.
-        let day = diurnal_factor(0.25, p.diurnal_amp);
-        let night = diurnal_factor(0.75, p.diurnal_amp);
+        let day = diurnal_factor(0.25, DIURNAL_AMP);
+        let night = diurnal_factor(0.75, DIURNAL_AMP);
         assert!(day < 1.0 && night > 1.0 && night / day > 2.0);
         // The floor keeps periods positive at any amplitude.
         assert!(diurnal_factor(0.25, 1.5) >= 0.25);
@@ -1084,8 +1032,12 @@ mod tests {
     #[test]
     fn service_sweep_deterministic_across_worker_counts() {
         let p = tiny();
-        let a = run_service_with_threads(&p, &MetricsHandle::disabled(), SERVICE_SEED, 1);
-        let b = run_service_with_threads(&p, &MetricsHandle::disabled(), SERVICE_SEED, 4);
+        let a = with_worker_threads(1, || {
+            run_service_with(&p, &MetricsHandle::disabled(), SERVICE_SEED)
+        });
+        let b = with_worker_threads(4, || {
+            run_service_with(&p, &MetricsHandle::disabled(), SERVICE_SEED)
+        });
         assert_eq!(a, b, "service run must not depend on worker count");
     }
 

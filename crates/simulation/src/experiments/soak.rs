@@ -16,7 +16,7 @@
 //!
 //! [`ResilienceConfig::armed`]: bittorrent::lifecycle::ResilienceConfig::armed
 
-use super::common::synthetic_torrent;
+use super::common::{synthetic_torrent, PIECE_LENGTH};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskKey, TaskSpec};
 use crate::harness::SweepRunner;
 use crate::invariants::InvariantChecker;
@@ -24,6 +24,7 @@ use crate::report::{pct, Table};
 use bittorrent::client::ClientConfig;
 use bittorrent::lifecycle::ResilienceConfig;
 use metrics::handle::MetricsHandle;
+use metrics::stats::median;
 use simnet::addr::NodeId;
 use simnet::fault::{FaultKind, FaultPlan, FaultPlanConfig};
 use simnet::time::{SimDuration, SimTime};
@@ -31,8 +32,6 @@ use simnet::time::{SimDuration, SimTime};
 /// Base seed of the soak sweep (pinned by the determinism tests).
 pub const SOAK_SEED: u64 = 0x50AC;
 
-/// Piece length of the soak torrent.
-const PIECE_LENGTH: u32 = 256 * 1024;
 /// Initial completion spread of the fixed leeches (mutual interest).
 const HEAD_START: f64 = 0.5;
 /// Per-connection stall watchdog (always on in the soak).
@@ -439,32 +438,14 @@ pub struct SoakPoint {
     pub worst_ttr: f64,
 }
 
-/// Median of a non-empty slice (mean of the middle pair when even).
-pub fn median(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut v = values.to_vec();
-    v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let mid = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v[mid]
-    } else {
-        (v[mid - 1] + v[mid]) / 2.0
-    }
-}
-
-fn run_soak_impl(
+/// Runs every scenario on an explicit metrics handle and base seed.
+pub fn run_soak_with(
     params: &SoakParams,
     metrics: &MetricsHandle,
     base_seed: u64,
-    threads: Option<usize>,
 ) -> Vec<SoakPoint> {
     let idxs: Vec<usize> = (0..SCENARIOS.len()).collect();
-    let mut runner = SweepRunner::new("soak", base_seed).with_metrics(metrics);
-    if let Some(n) = threads {
-        runner = runner.with_threads(n);
-    }
+    let runner = SweepRunner::new("soak", base_seed).with_metrics(metrics);
     let cells = runner.run(&idxs, params.runs as usize, |&i, cell| {
         // Rough virtual length: the plans close within ~150 s and each
         // window's recovery is bounded by the budget.
@@ -514,26 +495,6 @@ fn run_soak_impl(
     points
 }
 
-/// Runs every scenario on an explicit metrics handle and base seed.
-pub fn run_soak_with(
-    params: &SoakParams,
-    metrics: &MetricsHandle,
-    base_seed: u64,
-) -> Vec<SoakPoint> {
-    run_soak_impl(params, metrics, base_seed, None)
-}
-
-/// [`run_soak_with`] pinned to a worker count (the determinism tests
-/// compare 1 vs 4 without touching `WP2P_THREADS`).
-pub fn run_soak_with_threads(
-    params: &SoakParams,
-    metrics: &MetricsHandle,
-    base_seed: u64,
-    threads: usize,
-) -> Vec<SoakPoint> {
-    run_soak_impl(params, metrics, base_seed, Some(threads))
-}
-
 /// Every scenario's injected fault schedule under a `## name — what`
 /// heading, blank-line separated: the free text of the soak report.
 pub fn soak_schedules(points: &[SoakPoint]) -> String {
@@ -581,6 +542,7 @@ pub fn soak_table(points: &[SoakPoint]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::with_worker_threads;
 
     fn tiny() -> SoakParams {
         SoakParams {
@@ -611,14 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn median_handles_odd_even_and_empty() {
-        assert_eq!(median(&[]), 0.0);
-        assert_eq!(median(&[3.0]), 3.0);
-        assert_eq!(median(&[4.0, 1.0, 3.0]), 3.0);
-        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
-    }
-
-    #[test]
     fn triple_threat_scenario_heals() {
         let s = SCENARIOS
             .iter()
@@ -634,8 +588,12 @@ mod tests {
     #[test]
     fn soak_sweep_deterministic_across_worker_counts() {
         let params = tiny();
-        let a = run_soak_with_threads(&params, &MetricsHandle::disabled(), SOAK_SEED, 1);
-        let b = run_soak_with_threads(&params, &MetricsHandle::disabled(), SOAK_SEED, 4);
+        let a = with_worker_threads(1, || {
+            run_soak_with(&params, &MetricsHandle::disabled(), SOAK_SEED)
+        });
+        let b = with_worker_threads(4, || {
+            run_soak_with(&params, &MetricsHandle::disabled(), SOAK_SEED)
+        });
         assert_eq!(a, b, "soak sweep must not depend on worker count");
         assert_eq!(a.len(), SCENARIOS.len());
         assert!(a

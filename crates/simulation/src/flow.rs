@@ -128,24 +128,25 @@ impl TorrentSpec {
     }
 }
 
-/// Global timing parameters of the flow world.
+/// Transfer/rate-update granularity.
+const TICK: SimDuration = SimDuration::from_millis(250);
+/// Client housekeeping cadence.
+const CLIENT_TICK: SimDuration = SimDuration::from_secs(1);
+/// Metrics sampling cadence.
+const METRICS_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// Latency of a successful dial (TCP + BT handshake).
+const DIAL_LATENCY: SimDuration = SimDuration::from_millis(300);
+/// Timeout of a dial to an unreachable address (SYN retries).
+const DIAL_TIMEOUT: SimDuration = SimDuration::from_secs(21);
+/// How long a silently dead connection lingers before the surviving
+/// side notices (TCP retransmission give-up at the application).
+const DEAD_CONN_TIMEOUT: SimDuration = SimDuration::from_secs(90);
+/// Tracker request round-trip latency.
+const ANNOUNCE_LATENCY: SimDuration = SimDuration::from_secs(1);
+
+/// Global parameters of the flow world.
 #[derive(Clone, Copy, Debug)]
 pub struct FlowConfig {
-    /// Transfer/rate-update granularity.
-    pub tick: SimDuration,
-    /// Client housekeeping cadence.
-    pub client_tick: SimDuration,
-    /// Metrics sampling cadence.
-    pub metrics_interval: SimDuration,
-    /// Latency of a successful dial (TCP + BT handshake).
-    pub dial_latency: SimDuration,
-    /// Timeout of a dial to an unreachable address (SYN retries).
-    pub dial_timeout: SimDuration,
-    /// How long a silently dead connection lingers before the surviving
-    /// side notices (TCP retransmission give-up at the application).
-    pub dead_conn_timeout: SimDuration,
-    /// Tracker request round-trip latency.
-    pub announce_latency: SimDuration,
     /// Tracker behaviour.
     pub tracker: TrackerConfig,
     /// Number of tracker shards in the tier (each owns a deterministic
@@ -176,13 +177,6 @@ pub struct FlowConfig {
 impl Default for FlowConfig {
     fn default() -> Self {
         FlowConfig {
-            tick: SimDuration::from_millis(250),
-            client_tick: SimDuration::from_secs(1),
-            metrics_interval: SimDuration::from_secs(5),
-            dial_latency: SimDuration::from_millis(300),
-            dial_timeout: SimDuration::from_secs(21),
-            dead_conn_timeout: SimDuration::from_secs(90),
-            announce_latency: SimDuration::from_secs(1),
             tracker: TrackerConfig::default(),
             tracker_shards: 1,
             tracker_replicas: false,
@@ -812,7 +806,7 @@ impl FlowWorld {
             }
         }
         self.pump_actions(now);
-        self.sim.schedule_in(self.cfg.tick, Ev::Tick);
+        self.sim.schedule_in(TICK, Ev::Tick);
         // Mobility schedules.
         for n in 0..self.nodes.len() {
             self.schedule_next_handoff(n);
@@ -1057,11 +1051,6 @@ impl FlowWorld {
         &self.tasks[t].series_down
     }
 
-    /// The sampled uploaded-bytes time series of a task.
-    pub fn upload_series(&self, t: TaskKey) -> &TimeSeries {
-        &self.tasks[t].series_up
-    }
-
     /// When the task completed its download, if it has.
     pub fn completed_at(&self, t: TaskKey) -> Option<SimTime> {
         self.tasks[t].completed_at
@@ -1105,7 +1094,7 @@ impl FlowWorld {
             match ev {
                 Ev::Tick => {
                     self.do_tick(now);
-                    self.sim.schedule_in(self.cfg.tick, Ev::Tick);
+                    self.sim.schedule_in(TICK, Ev::Tick);
                     self.poll_faults();
                     on_tick(self);
                 }
@@ -1163,8 +1152,7 @@ impl FlowWorld {
                         } else {
                             // Node is mid hand-off outage: retry after
                             // a tick (the outage ends at a known event).
-                            self.sim
-                                .schedule_in(self.cfg.tick, Ev::TaskStart { task });
+                            self.sim.schedule_in(TICK, Ev::TaskStart { task });
                         }
                     }
                 }
@@ -1189,7 +1177,7 @@ impl FlowWorld {
         // Step tick-by-tick so the condition is evaluated promptly without
         // the callback needing interior mutability.
         while !fired && self.sim.peek_time().is_some_and(|t| t <= deadline) {
-            let next = self.now() + self.cfg.tick;
+            let next = self.now() + TICK;
             self.run_until(next.min(deadline), |_| {});
             fired = stop(self);
         }
@@ -1210,7 +1198,7 @@ impl FlowWorld {
     ) -> bool {
         let mut fired = false;
         while !fired && self.sim.peek_time().is_some_and(|t| t <= deadline) {
-            let next = self.now() + self.cfg.tick;
+            let next = self.now() + TICK;
             self.run_until(next.min(deadline), &mut drive);
             fired = stop(self);
         }
@@ -1251,7 +1239,7 @@ impl FlowWorld {
         self.recompute_rates();
         // 6. Metrics.
         if now >= self.next_metrics {
-            self.next_metrics = now + self.cfg.metrics_interval;
+            self.next_metrics = now + METRICS_INTERVAL;
             for t in 0..self.tasks.len() {
                 // Useful (non-duplicate) download progress; transport-level
                 // bytes served.
@@ -1432,7 +1420,6 @@ impl FlowWorld {
     }
 
     fn sweep_dead(&mut self, now: SimTime) {
-        let timeout = self.cfg.dead_conn_timeout;
         // `dead_since` is always assigned the current time, so the queue
         // is time-ordered and only a front prefix can have expired. An
         // entry whose conn is already gone (both sides died before the
@@ -1441,7 +1428,7 @@ impl FlowWorld {
         // the old ascending conn-id sort produced.
         let mut expired: Vec<(u64, ConnId)> = Vec::new();
         while let Some(&(t0, cid)) = self.dead_queue.front() {
-            if now.saturating_since(t0) <= timeout {
+            if now.saturating_since(t0) <= DEAD_CONN_TIMEOUT {
                 break;
             }
             self.dead_queue.pop_front();
@@ -1532,7 +1519,7 @@ impl FlowWorld {
                 client.set_upload_limit(Some(u));
             }
         }
-        let due = now + self.cfg.client_tick;
+        let due = now + CLIENT_TICK;
         task.next_client_tick = due;
         self.tick_due.entry(due).or_default().push(t);
         if cap_moved {
@@ -1603,9 +1590,9 @@ impl FlowWorld {
                     })
                 });
                 let delay = if target.is_some() {
-                    self.cfg.dial_latency
+                    DIAL_LATENCY
                 } else {
-                    self.cfg.dial_timeout
+                    DIAL_TIMEOUT
                 };
                 self.sim.schedule_in(
                     delay,
@@ -1655,7 +1642,7 @@ impl FlowWorld {
             Action::Announce { event } => {
                 let generation = self.tasks[t].generation;
                 self.sim.schedule_in(
-                    self.cfg.announce_latency,
+                    ANNOUNCE_LATENCY,
                     Ev::TrackerReply {
                         task: t,
                         generation,
@@ -2110,11 +2097,6 @@ impl FlowWorld {
         self.tracker.shard_announces(shard)
     }
 
-    /// The shard serving a task's swarm.
-    pub fn tracker_shard_of(&self, t: TaskKey) -> usize {
-        self.tracker.shard_for(self.tasks[t].spec.torrent.info_hash)
-    }
-
     /// Marks one tracker shard up or down (a partial-service fault:
     /// announces for the swarms it owns are dropped; other shards keep
     /// serving).
@@ -2122,11 +2104,6 @@ impl FlowWorld {
         self.tracker.set_shard_down(shard, down);
         let what = if down { "down" } else { "back" };
         self.fault_note(self.sim.now(), format!("fault: tracker shard {shard} {what}"));
-    }
-
-    /// Whether a specific tracker shard is down.
-    pub fn tracker_shard_is_down(&self, shard: usize) -> bool {
-        self.tracker.shard_is_down(shard)
     }
 
     /// Shed (scaled-pacing) responses served by one tracker shard — the
@@ -2154,11 +2131,6 @@ impl FlowWorld {
             out.3 += st.breaker_trips;
         }
         out
-    }
-
-    /// The info-hash of the swarm a task belongs to.
-    pub fn task_info_hash(&self, t: TaskKey) -> bittorrent::metainfo::InfoHash {
-        self.tasks[t].spec.torrent.info_hash
     }
 
     /// Piece payload bytes this task received from each sending task,

@@ -14,7 +14,9 @@
 //! Worker count defaults to [`std::thread::available_parallelism`] and
 //! can be overridden with the `WP2P_THREADS` environment variable
 //! (`WP2P_THREADS=1` forces serial execution — useful for verifying the
-//! determinism claim).
+//! determinism claim). Inside [`with_worker_threads`] the scoped count
+//! wins over both, which is how tests compare 1 vs 4 workers without
+//! touching the process environment.
 //!
 //! Every sweep records a [`SweepStats`] entry (cell count, wall-clock,
 //! summed per-cell wall-clock, simulated virtual time) into a global
@@ -51,9 +53,31 @@ pub fn run_seed(base_seed: u64, run: usize) -> u64 {
     mix(mix(base_seed) ^ mix((run as u64) << 32 | 0xCE11))
 }
 
-/// The number of sweep workers: `WP2P_THREADS` when set to a positive
+thread_local! {
+    static WORKER_OVERRIDE: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// Runs `f` with every [`SweepRunner`] created on this thread using `n`
+/// workers (at least one), ahead of `WP2P_THREADS`. The previous scope
+/// is restored when `f` returns or unwinds.
+pub fn with_worker_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            WORKER_OVERRIDE.with(|o| o.set(self.0));
+        }
+    }
+    let _restore = Restore(WORKER_OVERRIDE.with(|o| o.replace(Some(n.max(1)))));
+    f()
+}
+
+/// The number of sweep workers: the innermost [`with_worker_threads`]
+/// scope on this thread, else `WP2P_THREADS` when set to a positive
 /// integer, otherwise the machine's available parallelism.
 pub fn worker_threads() -> usize {
+    if let Some(n) = WORKER_OVERRIDE.with(|o| o.get()) {
+        return n;
+    }
     match std::env::var("WP2P_THREADS")
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
@@ -154,12 +178,6 @@ impl SweepRunner {
         }
     }
 
-    /// Overrides the worker count (tests; forced-serial comparisons).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Attaches a metrics handle. After each sweep the runner records
     /// `sweep.<name>.cells` (counter) and `sweep.<name>.virtual_secs`
     /// (gauge). Only worker-count-independent quantities are recorded —
@@ -168,11 +186,6 @@ impl SweepRunner {
     pub fn with_metrics(mut self, handle: &MetricsHandle) -> Self {
         self.metrics = handle.clone();
         self
-    }
-
-    /// The worker count this runner will use.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Executes `f` once per (point, run) cell and returns the results
@@ -276,12 +289,12 @@ mod tests {
     #[test]
     fn parallel_output_is_identical_to_serial() {
         let points: Vec<u64> = (0..5).collect();
-        let serial = SweepRunner::new("harness-test-serial", 42)
-            .with_threads(1)
-            .run(&points, 4, body);
-        let parallel = SweepRunner::new("harness-test-parallel", 42)
-            .with_threads(8)
-            .run(&points, 4, body);
+        let serial = with_worker_threads(1, || {
+            SweepRunner::new("harness-test-serial", 42).run(&points, 4, body)
+        });
+        let parallel = with_worker_threads(8, || {
+            SweepRunner::new("harness-test-parallel", 42).run(&points, 4, body)
+        });
         assert_eq!(serial, parallel);
         assert_eq!(serial.len(), 5);
         assert!(serial.iter().all(|rs| rs.len() == 4));
@@ -301,9 +314,9 @@ mod tests {
 
     #[test]
     fn stats_are_recorded() {
-        let _ = SweepRunner::new("harness-test-stats", 3)
-            .with_threads(2)
-            .run(&[1u64, 2], 3, body);
+        let _ = with_worker_threads(2, || {
+            SweepRunner::new("harness-test-stats", 3).run(&[1u64, 2], 3, body)
+        });
         let stats = take_stats();
         let s = stats
             .iter()
@@ -314,6 +327,21 @@ mod tests {
         assert_eq!(s.runs, 3);
         assert!((s.virtual_secs - 6.0).abs() < 1e-9);
         assert!(s.cell_wall >= Duration::ZERO);
+    }
+
+    #[test]
+    fn worker_scope_nests_and_restores_on_panic() {
+        let outer = worker_threads();
+        with_worker_threads(3, || {
+            assert_eq!(worker_threads(), 3);
+            with_worker_threads(0, || assert_eq!(worker_threads(), 1));
+            let caught = std::panic::catch_unwind(|| {
+                with_worker_threads(5, || panic!("inside the scope"));
+            });
+            assert!(caught.is_err());
+            assert_eq!(worker_threads(), 3);
+        });
+        assert_eq!(worker_threads(), outer);
     }
 
     #[test]

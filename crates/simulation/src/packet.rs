@@ -42,25 +42,16 @@ pub type PNodeKey = usize;
 /// Connection index in the packet world.
 pub type PConnKey = usize;
 
+/// One-way wired backbone delay between any two nodes.
+const BACKBONE_DELAY: SimDuration = SimDuration::from_millis(20);
+/// Client housekeeping cadence (BitTorrent overlay).
+const CLIENT_TICK: SimDuration = SimDuration::from_millis(500);
+
 /// Global parameters of the packet world.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PacketConfig {
-    /// One-way wired backbone delay between any two nodes.
-    pub backbone_delay: SimDuration,
     /// TCP endpoint parameters.
     pub tcp: TcpConfig,
-    /// Client housekeeping cadence (BitTorrent overlay).
-    pub client_tick: SimDuration,
-}
-
-impl Default for PacketConfig {
-    fn default() -> Self {
-        PacketConfig {
-            backbone_delay: SimDuration::from_millis(20),
-            tcp: TcpConfig::default(),
-            client_tick: SimDuration::from_millis(500),
-        }
-    }
 }
 
 struct PNode {
@@ -421,23 +412,6 @@ impl PacketWorld {
         self.checker.checks()
     }
 
-    /// AM filter diagnostic: (age estimate bytes, srtt seconds) per side.
-    pub fn am_diag(&self, conn: PConnKey, a_side: bool) -> Option<(u32, f64)> {
-        self.conns[conn].as_ref().and_then(|c| {
-            let (f, ep) = if a_side {
-                (c.a_filter.as_ref(), &c.a)
-            } else {
-                (c.b_filter.as_ref(), &c.b)
-            };
-            f.map(|f| {
-                (
-                    f.cwnd_estimate(),
-                    ep.srtt().map(|d| d.as_secs_f64()).unwrap_or(0.0),
-                )
-            })
-        })
-    }
-
     /// AM filter stats for one side, if AM is enabled there.
     pub fn am_stats(&self, conn: PConnKey, a_side: bool) -> Option<AmStats> {
         self.conns[conn].as_ref().and_then(|c| {
@@ -458,30 +432,19 @@ impl PacketWorld {
     pub fn add_client(
         &mut self,
         node: PNodeKey,
-        mut config: ClientConfig,
+        config: ClientConfig,
         info_hash: InfoHash,
         piece_length: u32,
         length: u64,
         block_size: u32,
         complete: bool,
     ) {
-        let addr = self.nodes[node].addr;
-        let mut rng = self.rng.fork(300 + node as u64);
-        // Strategy hook: PacketWorld clients live one generation, but a
-        // hybrid still draws its initial (possibly degraded) mode here.
-        // Honest draws nothing, keeping legacy streams bit-identical.
-        config.strategy.on_reinit(0, &mut rng);
-        let peer_id = PeerId::generate(PeerIdStyle::Random, addr, &mut rng);
         let progress = if complete {
             TorrentProgress::complete(piece_length, length)
         } else {
             TorrentProgress::with_block_size(piece_length, length, block_size)
         };
-        let mut client = Client::with_progress(config, info_hash, peer_id, progress, addr, rng);
-        if self.metrics.is_enabled() {
-            client.attach_metrics(&self.metrics, &format!("node{node}"));
-        }
-        self.nodes[node].client = Some(client);
+        self.add_client_with_progress(node, config, info_hash, progress);
     }
 
     /// Attaches a client with explicitly constructed progress (e.g.
@@ -495,6 +458,9 @@ impl PacketWorld {
     ) {
         let addr = self.nodes[node].addr;
         let mut rng = self.rng.fork(300 + node as u64);
+        // Strategy hook: PacketWorld clients live one generation, but a
+        // hybrid still draws its initial (possibly degraded) mode here.
+        // Honest draws nothing, keeping legacy streams bit-identical.
         config.strategy.on_reinit(0, &mut rng);
         let peer_id = PeerId::generate(PeerIdStyle::Random, addr, &mut rng);
         let mut client = Client::with_progress(config, info_hash, peer_id, progress, addr, rng);
@@ -515,7 +481,7 @@ impl PacketWorld {
             }
         }
         self.pump_actions(now);
-        self.sim.schedule_in(self.cfg.client_tick, PEv::ClientTick);
+        self.sim.schedule_in(CLIENT_TICK, PEv::ClientTick);
     }
 
     /// Read-only view of a node's client.
@@ -531,18 +497,6 @@ impl PacketWorld {
     /// Payload bytes served by a node's client over all connections.
     pub fn delivered_up(&self, node: PNodeKey) -> u64 {
         self.nodes[node].delivered_up
-    }
-
-    /// Removes a node's client (e.g. the seed leaving), aborting its
-    /// connections.
-    pub fn stop_client(&mut self, node: PNodeKey) {
-        let now = self.sim.now();
-        self.nodes[node].client = None;
-        // Ascending conn-key order, matching the old full scan.
-        let touched: Vec<PConnKey> = self.node_conns[node].iter().copied().collect();
-        for conn in touched {
-            self.teardown_conn(conn, now);
-        }
     }
 
     fn teardown_conn(&mut self, conn: PConnKey, now: SimTime) {
@@ -626,10 +580,8 @@ impl PacketWorld {
             },
             None => now,
         };
-        self.sim.schedule_at(
-            hop_at + self.cfg.backbone_delay,
-            PEv::Hop { conn, to_a, seg },
-        );
+        self.sim
+            .schedule_at(hop_at + BACKBONE_DELAY, PEv::Hop { conn, to_a, seg });
     }
 
     fn on_hop(&mut self, conn: PConnKey, to_a: bool, seg: Segment, now: SimTime) {
@@ -1100,7 +1052,7 @@ impl PacketWorld {
                         }
                     }
                     self.pump_actions(now);
-                    self.sim.schedule_in(self.cfg.client_tick, PEv::ClientTick);
+                    self.sim.schedule_in(CLIENT_TICK, PEv::ClientTick);
                 }
             }
             self.poll_faults();

@@ -568,16 +568,6 @@ impl RateEngine {
         }
     }
 
-    /// Number of resource slots.
-    pub fn resource_count(&self) -> usize {
-        self.caps.len()
-    }
-
-    /// Present flows.
-    pub fn flow_count(&self) -> usize {
-        self.n_present
-    }
-
     /// Current capacity of a resource.
     pub fn capacity(&self, r: ResourceId) -> f64 {
         self.caps[r]

@@ -196,7 +196,6 @@ fn fig2a_driver_is_deterministic() {
         bers: vec![1.0e-5],
         runs: 1,
         duration: SimDuration::from_secs(10),
-        channel_bytes_per_sec: 50_000,
         delayed_ack: false,
     };
     let a = run_fig2a_with(&params, &MetricsHandle::disabled(), FIG2A_SEED);

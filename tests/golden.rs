@@ -3,6 +3,12 @@
 //! `results/<name>.txt` — the file `all_figures --only <name>` writes,
 //! minus its one-line preamble and the blank line it prints after each
 //! entry.
+//!
+//! `soak`, `faults`, `search` and `fig8b` pin the fault layer and the
+//! Fig. 8(b) mobile probes. `snapshot` and `bisect` stay out: their
+//! reports print snapshot blob sizes, and a debug build's blobs also
+//! carry the debug-only invariant checker's history, so the sizes differ
+//! from the committed release output.
 
 use metrics::handle::MetricsHandle;
 use p2p_simulation::experiments::registry;
@@ -57,6 +63,26 @@ fn fig4bc_matches_committed_results() {
 }
 
 #[test]
+fn fig8b_matches_committed_results() {
+    assert_matches_committed("fig8b");
+}
+
+#[test]
 fn fig9ab_matches_committed_results() {
     assert_matches_committed("fig9ab");
+}
+
+#[test]
+fn soak_matches_committed_results() {
+    assert_matches_committed("soak");
+}
+
+#[test]
+fn faults_matches_committed_results() {
+    assert_matches_committed("faults");
+}
+
+#[test]
+fn search_matches_committed_results() {
+    assert_matches_committed("search");
 }
