@@ -174,41 +174,21 @@ impl Choker {
     }
 }
 
-use simnet::snapshot::{Snap, SnapReader, SnapWriter};
+use simnet::snapshot::snap_struct;
 
-impl Snap for ChokerConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_usize(self.upload_slots);
-        self.rechoke_interval.snap(w);
-        self.optimistic_interval.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        ChokerConfig {
-            upload_slots: r.get_usize(),
-            rechoke_interval: Snap::unsnap(r),
-            optimistic_interval: Snap::unsnap(r),
-        }
-    }
-}
+snap_struct!(ChokerConfig {
+    upload_slots,
+    rechoke_interval,
+    optimistic_interval,
+});
 
-impl Snap for Choker {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.config.snap(w);
-        self.last_rechoke.snap(w);
-        self.last_optimistic.snap(w);
-        self.optimistic.snap(w);
-        w.put_u64(self.rechokes);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        Choker {
-            config: Snap::unsnap(r),
-            last_rechoke: Snap::unsnap(r),
-            last_optimistic: Snap::unsnap(r),
-            optimistic: Snap::unsnap(r),
-            rechokes: r.get_u64(),
-        }
-    }
-}
+snap_struct!(Choker {
+    config,
+    last_rechoke,
+    last_optimistic,
+    optimistic,
+    rechokes,
+});
 
 #[cfg(test)]
 mod tests {

@@ -1682,35 +1682,7 @@ impl Client {
     /// after [`Client::restore_state`].
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.section("client");
-        self.config.upload_limit.snap(w);
-        w.put_bool(self.config.allow_upload);
-        self.info_hash.snap(w);
-        self.peer_id.snap(w);
-        self.progress.snap(w);
-        snap_hash_map(&self.conns, w);
-        self.upload_ready.snap(w);
-        w.put_u64(self.next_conn);
-        self.availability.snap(w);
-        snap_hash_map(&self.addrs, w);
-        self.choker.snap(w);
-        snap_hash_map(&self.credit, w);
-        snap_hash_map(&self.served, w);
-        snap_hash_map(&self.id_addr, w);
-        self.actions.snap(w);
-        self.rng.snap(w);
-        self.backoff_rng.snap(w);
-        self.upload_bucket.snap(w);
-        self.next_announce.snap(w);
-        self.stable_since.snap(w);
-        w.put_bool(self.completed_reported);
-        self.last_announce.snap(w);
-        self.min_reannounce.snap(w);
-        self.last_decay.snap(w);
-        self.stats.snap(w);
-        self.own_addr.snap(w);
-        snap_hash_map(&self.gossip_age, w);
-        self.next_pex.snap(w);
-        w.put_u32(self.announce_fail_streak);
+        self.save_fields(w);
         // Strategy state rides at the tail: the config (and thus the
         // strategy *type*) is rebuilt by the scenario's `make_config`,
         // and `load` restores the instance's mutable state onto it.
@@ -1722,178 +1694,93 @@ impl Client {
     /// what is deliberately left to the rebuild.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) {
         r.section("client");
-        self.config.upload_limit = Snap::unsnap(r);
-        self.config.allow_upload = r.get_bool();
-        self.info_hash = Snap::unsnap(r);
-        self.peer_id = Snap::unsnap(r);
-        self.progress = Snap::unsnap(r);
-        self.conns = unsnap_hash_map(r);
-        self.upload_ready = Snap::unsnap(r);
-        self.next_conn = r.get_u64();
-        self.availability = Snap::unsnap(r);
-        self.addrs = unsnap_hash_map(r);
-        self.choker = Snap::unsnap(r);
-        self.credit = unsnap_hash_map(r);
-        self.served = unsnap_hash_map(r);
-        self.id_addr = unsnap_hash_map(r);
-        self.actions = Snap::unsnap(r);
-        self.rng = Snap::unsnap(r);
-        self.backoff_rng = Snap::unsnap(r);
-        self.upload_bucket = Snap::unsnap(r);
-        self.next_announce = Snap::unsnap(r);
-        self.stable_since = Snap::unsnap(r);
-        self.completed_reported = r.get_bool();
-        self.last_announce = Snap::unsnap(r);
-        self.min_reannounce = Snap::unsnap(r);
-        self.last_decay = Snap::unsnap(r);
-        self.stats = Snap::unsnap(r);
-        self.own_addr = Snap::unsnap(r);
-        self.gossip_age = unsnap_hash_map(r);
-        self.next_pex = Snap::unsnap(r);
-        self.announce_fail_streak = r.get_u32();
+        self.restore_fields(r);
         self.config.strategy.load(r);
     }
+
+    snap_in_place!(fn save_fields / restore_fields {
+        config.upload_limit,
+        config.allow_upload,
+        info_hash,
+        peer_id,
+        progress,
+        conns,
+        upload_ready,
+        next_conn,
+        availability,
+        addrs,
+        choker,
+        credit,
+        served,
+        id_addr,
+        actions,
+        rng,
+        backoff_rng,
+        upload_bucket,
+        next_announce,
+        stable_since,
+        completed_reported,
+        last_announce,
+        min_reannounce,
+        last_decay,
+        stats,
+        own_addr,
+        gossip_age,
+        next_pex,
+        announce_fail_streak,
+    });
 }
 
-use simnet::snapshot::{snap_hash_map, unsnap_hash_map, Snap, SnapReader, SnapWriter};
+use simnet::snapshot::{snap_enum, snap_in_place, snap_struct, SnapReader, SnapWriter};
 
-impl Snap for Peer {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.addr.snap(w);
-        self.peer_id.snap(w);
-        w.put_bool(self.outgoing);
-        self.connected_at.snap(w);
-        w.put_bool(self.am_choking);
-        w.put_bool(self.am_interested);
-        w.put_bool(self.peer_choking);
-        w.put_bool(self.peer_interested);
-        self.have.snap(w);
-        self.inflight.snap(w);
-        self.upload_queue.snap(w);
-        self.download_est.snap(w);
-        self.upload_est.snap(w);
-        self.last_recv.snap(w);
-        self.last_progress.snap(w);
-        self.last_keepalive.snap(w);
-        w.put_bool(self.snubbed);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        Peer {
-            addr: Snap::unsnap(r),
-            peer_id: Snap::unsnap(r),
-            outgoing: r.get_bool(),
-            connected_at: Snap::unsnap(r),
-            am_choking: r.get_bool(),
-            am_interested: r.get_bool(),
-            peer_choking: r.get_bool(),
-            peer_interested: r.get_bool(),
-            have: Snap::unsnap(r),
-            inflight: Snap::unsnap(r),
-            upload_queue: Snap::unsnap(r),
-            download_est: Snap::unsnap(r),
-            upload_est: Snap::unsnap(r),
-            last_recv: Snap::unsnap(r),
-            last_progress: Snap::unsnap(r),
-            last_keepalive: Snap::unsnap(r),
-            snubbed: r.get_bool(),
-        }
-    }
-}
+snap_struct!(Peer {
+    addr,
+    peer_id,
+    outgoing,
+    connected_at,
+    am_choking,
+    am_interested,
+    peer_choking,
+    peer_interested,
+    have,
+    inflight,
+    upload_queue,
+    download_est,
+    upload_est,
+    last_recv,
+    last_progress,
+    last_keepalive,
+    snubbed,
+});
 
-impl Snap for AddrState {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.failures);
-        self.next_attempt.snap(w);
-        w.put_bool(self.connected);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        AddrState {
-            failures: r.get_u32(),
-            next_attempt: Snap::unsnap(r),
-            connected: r.get_bool(),
-        }
-    }
-}
+snap_struct!(AddrState {
+    failures,
+    next_attempt,
+    connected,
+});
 
-impl Snap for ClientStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.downloaded_payload);
-        w.put_u64(self.uploaded_payload);
-        w.put_u64(self.connections_opened);
-        w.put_u64(self.dial_failures);
-        w.put_u64(self.duplicate_blocks);
-        w.put_u64(self.snubs);
-        w.put_u64(self.keepalive_closes);
-        w.put_u64(self.pex_sent);
-        w.put_u64(self.pex_received);
-        w.put_u64(self.pex_addrs_learned);
-        w.put_u64(self.breaker_trips);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        ClientStats {
-            downloaded_payload: r.get_u64(),
-            uploaded_payload: r.get_u64(),
-            connections_opened: r.get_u64(),
-            dial_failures: r.get_u64(),
-            duplicate_blocks: r.get_u64(),
-            snubs: r.get_u64(),
-            keepalive_closes: r.get_u64(),
-            pex_sent: r.get_u64(),
-            pex_received: r.get_u64(),
-            pex_addrs_learned: r.get_u64(),
-            breaker_trips: r.get_u64(),
-        }
-    }
-}
+snap_struct!(ClientStats {
+    downloaded_payload,
+    uploaded_payload,
+    connections_opened,
+    dial_failures,
+    duplicate_blocks,
+    snubs,
+    keepalive_closes,
+    pex_sent,
+    pex_received,
+    pex_addrs_learned,
+    breaker_trips,
+});
 
-impl Snap for Action {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Action::Connect { conn, addr } => {
-                w.put_u8(0);
-                w.put_u64(*conn);
-                addr.snap(w);
-            }
-            Action::Send { conn, msg } => {
-                w.put_u8(1);
-                w.put_u64(*conn);
-                msg.snap(w);
-            }
-            Action::Close { conn } => {
-                w.put_u8(2);
-                w.put_u64(*conn);
-            }
-            Action::Announce { event } => {
-                w.put_u8(3);
-                event.snap(w);
-            }
-            Action::PieceCompleted { piece } => {
-                w.put_u8(4);
-                w.put_u32(*piece);
-            }
-            Action::Completed => w.put_u8(5),
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        match r.get_u8() {
-            0 => Action::Connect {
-                conn: r.get_u64(),
-                addr: Snap::unsnap(r),
-            },
-            1 => Action::Send {
-                conn: r.get_u64(),
-                msg: Snap::unsnap(r),
-            },
-            2 => Action::Close { conn: r.get_u64() },
-            3 => Action::Announce {
-                event: Snap::unsnap(r),
-            },
-            4 => Action::PieceCompleted { piece: r.get_u32() },
-            5 => Action::Completed,
-            t => panic!("unknown Action tag {t} in snapshot"),
-        }
-    }
-}
+snap_enum!(Action {
+    0 => Connect { conn, addr },
+    1 => Send { conn, msg },
+    2 => Close { conn },
+    3 => Announce { event },
+    4 => PieceCompleted { piece },
+    5 => Completed,
+});
 
 #[cfg(test)]
 mod tests {

@@ -374,47 +374,24 @@ impl TorrentProgress {
     }
 }
 
-use simnet::snapshot::{snap_hash_map, unsnap_hash_map, Snap, SnapReader, SnapWriter};
+use simnet::snapshot::snap_struct;
 
-impl Snap for PartialPiece {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.received.snap(w);
-        w.put_u32(self.received_count);
-        snap_hash_map(&self.in_flight, w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        PartialPiece {
-            received: Snap::unsnap(r),
-            received_count: r.get_u32(),
-            in_flight: unsnap_hash_map(r),
-        }
-    }
-}
+snap_struct!(PartialPiece {
+    received,
+    received_count,
+    in_flight,
+});
 
-impl Snap for TorrentProgress {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.piece_length);
-        w.put_u64(self.length);
-        w.put_u32(self.num_pieces);
-        w.put_u32(self.block_size);
-        self.have.snap(w);
-        self.partial.snap(w);
-        w.put_u64(self.bytes_have);
-        w.put_usize(self.endgame_dup_cap);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        TorrentProgress {
-            piece_length: r.get_u32(),
-            length: r.get_u64(),
-            num_pieces: r.get_u32(),
-            block_size: r.get_u32(),
-            have: Snap::unsnap(r),
-            partial: Snap::unsnap(r),
-            bytes_have: r.get_u64(),
-            endgame_dup_cap: r.get_usize(),
-        }
-    }
-}
+snap_struct!(TorrentProgress {
+    piece_length,
+    length,
+    num_pieces,
+    block_size,
+    have,
+    partial,
+    bytes_have,
+    endgame_dup_cap,
+});
 
 #[cfg(test)]
 mod tests {

@@ -150,35 +150,18 @@ impl TokenBucket {
     }
 }
 
-use simnet::snapshot::{Snap, SnapReader, SnapWriter};
+use simnet::snapshot::snap_struct;
 
-impl Snap for RateEstimator {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.meter.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        RateEstimator {
-            meter: Snap::unsnap(r),
-        }
-    }
-}
+snap_struct!(RateEstimator {
+    meter,
+});
 
-impl Snap for TokenBucket {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.rate.snap(w);
-        w.put_f64(self.burst);
-        w.put_f64(self.tokens);
-        self.last.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        TokenBucket {
-            rate: Snap::unsnap(r),
-            burst: r.get_f64(),
-            tokens: r.get_f64(),
-            last: Snap::unsnap(r),
-        }
-    }
-}
+snap_struct!(TokenBucket {
+    rate,
+    burst,
+    tokens,
+    last,
+});
 
 #[cfg(test)]
 mod tests {

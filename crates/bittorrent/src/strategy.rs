@@ -34,7 +34,7 @@ use crate::choker::ConnKey;
 use crate::peer_id::PeerId;
 use simnet::hash::FastHashMap;
 use simnet::rng::SimRng;
-use simnet::snapshot::{snap_hash_map, unsnap_hash_map, SnapReader, SnapWriter};
+use simnet::snapshot::{snap_in_place, SnapReader, SnapWriter};
 
 /// The strategy classes the zoo distinguishes (reporting key).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -264,12 +264,9 @@ impl ClientStrategy for BitTyrant {
     fn churn_identity(&self) -> bool {
         self.churn
     }
-    fn save(&self, w: &mut SnapWriter) {
-        snap_hash_map(&self.cost, w);
-    }
-    fn load(&mut self, r: &mut SnapReader<'_>) {
-        self.cost = unsnap_hash_map(r);
-    }
+    snap_in_place!(fn save / load {
+        cost,
+    });
 }
 
 /// Partial-mobility hybrid: at every task (re)initiation it draws, with
@@ -309,12 +306,9 @@ impl ClientStrategy for HybridMobility {
     fn on_reinit(&mut self, _generation: u32, rng: &mut SimRng) {
         self.degraded = rng.chance(self.degrade);
     }
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_bool(self.degraded);
-    }
-    fn load(&mut self, r: &mut SnapReader<'_>) {
-        self.degraded = r.get_bool();
-    }
+    snap_in_place!(fn save / load {
+        degraded,
+    });
 }
 
 /// Seeded population mix: which fraction of a swarm runs which

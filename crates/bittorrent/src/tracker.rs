@@ -706,67 +706,31 @@ impl TrackerTier {
     }
 }
 
-use simnet::snapshot::{snap_hash_map, unsnap_hash_map, Snap, SnapReader, SnapWriter};
+use simnet::snapshot::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter};
 
-impl Snap for TrackerConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.announce_interval.snap(w);
-        self.min_interval.snap(w);
-        w.put_usize(self.max_peers_returned);
-        w.put_u32(self.expiry_intervals);
-        w.put_f64(self.interval_jitter);
-        w.put_u64(self.shed_capacity);
-        self.shed_window.snap(w);
-        w.put_u32(self.shed_max_scale);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        TrackerConfig {
-            announce_interval: Snap::unsnap(r),
-            min_interval: Snap::unsnap(r),
-            max_peers_returned: r.get_usize(),
-            expiry_intervals: r.get_u32(),
-            interval_jitter: r.get_f64(),
-            shed_capacity: r.get_u64(),
-            shed_window: Snap::unsnap(r),
-            shed_max_scale: r.get_u32(),
-        }
-    }
-}
+snap_struct!(TrackerConfig {
+    announce_interval,
+    min_interval,
+    max_peers_returned,
+    expiry_intervals,
+    interval_jitter,
+    shed_capacity,
+    shed_window,
+    shed_max_scale,
+});
 
-impl Snap for AnnounceEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            AnnounceEvent::Started => 0,
-            AnnounceEvent::Stopped => 1,
-            AnnounceEvent::Completed => 2,
-            AnnounceEvent::Periodic => 3,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        match r.get_u8() {
-            0 => AnnounceEvent::Started,
-            1 => AnnounceEvent::Stopped,
-            2 => AnnounceEvent::Completed,
-            3 => AnnounceEvent::Periodic,
-            t => panic!("unknown AnnounceEvent tag {t} in snapshot"),
-        }
-    }
-}
+snap_enum!(AnnounceEvent {
+    0 => Started,
+    1 => Stopped,
+    2 => Completed,
+    3 => Periodic,
+});
 
-impl Snap for TrackedPeer {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.addr.snap(w);
-        self.last_seen.snap(w);
-        w.put_bool(self.seed);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        TrackedPeer {
-            addr: Snap::unsnap(r),
-            last_seen: Snap::unsnap(r),
-            seed: r.get_bool(),
-        }
-    }
-}
+snap_struct!(TrackedPeer {
+    addr,
+    last_seen,
+    seed,
+});
 
 impl Snap for Swarm {
     // The dense `list` order is load-bearing (rejection sampling indexes
@@ -794,45 +758,22 @@ impl Snap for Swarm {
     }
 }
 
-impl Snap for Tracker {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.config.snap(w);
-        snap_hash_map(&self.swarms, w);
-        w.put_u64(self.announces);
-        snap_hash_map(&self.downloads, w);
-        self.order.snap(w);
-        w.put_usize(self.sweep_cursor);
-        self.window_start.snap(w);
-        w.put_u64(self.window_count);
-        w.put_u64(self.sheds);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        Tracker {
-            config: Snap::unsnap(r),
-            swarms: unsnap_hash_map(r),
-            announces: r.get_u64(),
-            downloads: unsnap_hash_map(r),
-            order: Snap::unsnap(r),
-            sweep_cursor: r.get_usize(),
-            window_start: Snap::unsnap(r),
-            window_count: r.get_u64(),
-            sheds: r.get_u64(),
-        }
-    }
-}
+snap_struct!(Tracker {
+    config,
+    swarms,
+    announces,
+    downloads,
+    order,
+    sweep_cursor,
+    window_start,
+    window_count,
+    sheds,
+});
 
-impl Snap for TrackerTier {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.shards.snap(w);
-        self.down.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        TrackerTier {
-            shards: Snap::unsnap(r),
-            down: Snap::unsnap(r),
-        }
-    }
-}
+snap_struct!(TrackerTier {
+    shards,
+    down,
+});
 
 #[cfg(test)]
 mod tests {

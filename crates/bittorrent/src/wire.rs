@@ -440,96 +440,28 @@ impl MessageReader {
     }
 }
 
-use simnet::snapshot::{Snap, SnapReader, SnapWriter};
+use simnet::snapshot::{snap_enum, snap_struct};
 
-impl Snap for BlockRef {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.piece);
-        w.put_u32(self.offset);
-        w.put_u32(self.len);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        BlockRef {
-            piece: r.get_u32(),
-            offset: r.get_u32(),
-            len: r.get_u32(),
-        }
-    }
-}
+snap_struct!(BlockRef {
+    piece,
+    offset,
+    len,
+});
 
-impl Snap for Message {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Message::Handshake { info_hash, peer_id } => {
-                w.put_u8(0);
-                info_hash.snap(w);
-                peer_id.snap(w);
-            }
-            Message::KeepAlive => w.put_u8(1),
-            Message::Choke => w.put_u8(2),
-            Message::Unchoke => w.put_u8(3),
-            Message::Interested => w.put_u8(4),
-            Message::NotInterested => w.put_u8(5),
-            Message::Have { index } => {
-                w.put_u8(6);
-                w.put_u32(*index);
-            }
-            Message::Bitfield(bf) => {
-                w.put_u8(7);
-                bf.snap(w);
-            }
-            Message::Request(b) => {
-                w.put_u8(8);
-                b.snap(w);
-            }
-            Message::Piece(b) => {
-                w.put_u8(9);
-                b.snap(w);
-            }
-            Message::Cancel(b) => {
-                w.put_u8(10);
-                b.snap(w);
-            }
-            Message::Pex { peers } => {
-                w.put_u8(11);
-                w.put_usize(peers.len());
-                for (addr, age) in peers {
-                    addr.snap(w);
-                    w.put_u32(*age);
-                }
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        match r.get_u8() {
-            0 => Message::Handshake {
-                info_hash: Snap::unsnap(r),
-                peer_id: Snap::unsnap(r),
-            },
-            1 => Message::KeepAlive,
-            2 => Message::Choke,
-            3 => Message::Unchoke,
-            4 => Message::Interested,
-            5 => Message::NotInterested,
-            6 => Message::Have { index: r.get_u32() },
-            7 => Message::Bitfield(Snap::unsnap(r)),
-            8 => Message::Request(Snap::unsnap(r)),
-            9 => Message::Piece(Snap::unsnap(r)),
-            10 => Message::Cancel(Snap::unsnap(r)),
-            11 => {
-                let n = r.get_usize();
-                let peers = (0..n)
-                    .map(|_| {
-                        let addr: SimAddr = Snap::unsnap(r);
-                        (addr, r.get_u32())
-                    })
-                    .collect();
-                Message::Pex { peers }
-            }
-            t => panic!("unknown Message tag {t} in snapshot"),
-        }
-    }
-}
+snap_enum!(Message {
+    0 => Handshake { info_hash, peer_id },
+    1 => KeepAlive,
+    2 => Choke,
+    3 => Unchoke,
+    4 => Interested,
+    5 => NotInterested,
+    6 => Have { index },
+    7 => Bitfield(bits),
+    8 => Request(block),
+    9 => Piece(block),
+    10 => Cancel(block),
+    11 => Pex { peers },
+});
 
 #[cfg(test)]
 mod tests {

@@ -243,65 +243,34 @@ impl AgeFilter {
     }
 }
 
-use simnet::snapshot::{Snap, SnapReader, SnapWriter};
+use simnet::snapshot::snap_struct;
 
-impl Snap for AmConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        // `rtt_hint` is live state: `set_window` overwrites it with the
-        // measured RTT, so the whole config rides in the blob.
-        w.put_u32(self.gamma_bytes);
-        w.put_u64(self.dupack_drop_modulo);
-        self.rtt_hint.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        AmConfig {
-            gamma_bytes: r.get_u32(),
-            dupack_drop_modulo: r.get_u64(),
-            rtt_hint: Snap::unsnap(r),
-        }
-    }
-}
+// `rtt_hint` is live state: `set_window` overwrites it with the
+// measured RTT, so the whole config rides in the blob.
+snap_struct!(AmConfig {
+    gamma_bytes,
+    dupack_drop_modulo,
+    rtt_hint,
+});
 
-impl Snap for AmStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.decoupled);
-        w.put_u64(self.dupacks_dropped);
-        w.put_u64(self.dupacks_seen);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        AmStats {
-            decoupled: r.get_u64(),
-            dupacks_dropped: r.get_u64(),
-            dupacks_seen: r.get_u64(),
-        }
-    }
-}
+snap_struct!(AmStats {
+    decoupled,
+    dupacks_dropped,
+    dupacks_seen,
+});
 
-impl Snap for AgeFilter {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.config.snap(w);
-        self.window_started.snap(w);
-        w.put_u32(self.bytes_this_window);
-        w.put_u32(self.cwnd_estimate);
-        self.last_ack.snap(w);
-        w.put_u64(self.dupack_run);
-        self.stats.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        // Counters are re-wired by the embedder via `attach_metrics`.
-        AgeFilter {
-            config: Snap::unsnap(r),
-            window_started: Snap::unsnap(r),
-            bytes_this_window: r.get_u32(),
-            cwnd_estimate: r.get_u32(),
-            last_ack: Snap::unsnap(r),
-            dupack_run: r.get_u64(),
-            stats: Snap::unsnap(r),
-            m_decoupled: Counter::default(),
-            m_dupacks_dropped: Counter::default(),
-        }
-    }
-}
+// Counters are re-wired by the embedder via `attach_metrics`.
+snap_struct!(AgeFilter {
+    config,
+    window_started,
+    bytes_this_window,
+    cwnd_estimate,
+    last_ack,
+    dupack_run,
+    stats;
+    m_decoupled,
+    m_dupacks_dropped,
+});
 
 #[cfg(test)]
 mod tests {

@@ -194,61 +194,31 @@ impl IdentityStore {
     }
 }
 
-use simnet::snapshot::{snap_hash_map, unsnap_hash_map, Snap, SnapReader, SnapWriter};
+use simnet::snapshot::snap_struct;
 
-impl Snap for LihdConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_f64(self.u_max);
-        w.put_f64(self.alpha);
-        w.put_f64(self.beta);
-        w.put_f64(self.u_min);
-        self.window.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        LihdConfig {
-            u_max: r.get_f64(),
-            alpha: r.get_f64(),
-            beta: r.get_f64(),
-            u_min: r.get_f64(),
-            window: Snap::unsnap(r),
-        }
-    }
-}
+snap_struct!(LihdConfig {
+    u_max,
+    alpha,
+    beta,
+    u_min,
+    window,
+});
 
-impl Snap for Lihd {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.config.snap(w);
-        w.put_f64(self.u_cur);
-        w.put_f64(self.d_prev);
-        w.put_u32(self.udec_cnt);
-        self.last_update.snap(w);
-        w.put_u64(self.updates);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        // Instruments are re-wired by the embedder via `attach_metrics`.
-        Lihd {
-            config: Snap::unsnap(r),
-            u_cur: r.get_f64(),
-            d_prev: r.get_f64(),
-            udec_cnt: r.get_u32(),
-            last_update: Snap::unsnap(r),
-            updates: r.get_u64(),
-            m_steps: Counter::default(),
-            m_limit: Series::default(),
-        }
-    }
-}
+// Instruments are re-wired by the embedder via `attach_metrics`.
+snap_struct!(Lihd {
+    config,
+    u_cur,
+    d_prev,
+    udec_cnt,
+    last_update,
+    updates;
+    m_steps,
+    m_limit,
+});
 
-impl Snap for IdentityStore {
-    fn snap(&self, w: &mut SnapWriter) {
-        snap_hash_map(&self.ids, w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        IdentityStore {
-            ids: unsnap_hash_map(r),
-        }
-    }
-}
+snap_struct!(IdentityStore {
+    ids,
+});
 
 #[cfg(test)]
 mod tests {

@@ -183,70 +183,28 @@ impl RoleReversal {
     }
 }
 
-use simnet::snapshot::{Snap, SnapReader, SnapWriter};
+use simnet::snapshot::{snap_enum, snap_struct};
 
-impl Snap for PrSchedule {
-    fn snap(&self, w: &mut SnapWriter) {
-        match *self {
-            PrSchedule::DownloadedFraction => w.put_u8(0),
-            PrSchedule::ExponentialInProgress { p0 } => {
-                w.put_u8(1);
-                w.put_f64(p0);
-            }
-            PrSchedule::Stability { p0, tau } => {
-                w.put_u8(2);
-                w.put_f64(p0);
-                tau.snap(w);
-            }
-            PrSchedule::Fixed(p) => {
-                w.put_u8(3);
-                w.put_f64(p);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        match r.get_u8() {
-            0 => PrSchedule::DownloadedFraction,
-            1 => PrSchedule::ExponentialInProgress { p0: r.get_f64() },
-            2 => PrSchedule::Stability {
-                p0: r.get_f64(),
-                tau: Snap::unsnap(r),
-            },
-            3 => PrSchedule::Fixed(r.get_f64()),
-            t => panic!("snapshot: bad PrSchedule tag {t}"),
-        }
-    }
-}
+snap_enum!(PrSchedule {
+    0 => DownloadedFraction,
+    1 => ExponentialInProgress { p0 },
+    2 => Stability { p0, tau },
+    3 => Fixed(p),
+});
 
-impl Snap for MobilityAwarePicker {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.schedule.snap(w);
-        w.put_f64(self.last_pr);
-        w.put_u64(self.rarest_picks);
-        w.put_u64(self.sequential_picks);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        MobilityAwarePicker {
-            schedule: Snap::unsnap(r),
-            rarest: RarestFirst,
-            sequential: Sequential,
-            last_pr: r.get_f64(),
-            rarest_picks: r.get_u64(),
-            sequential_picks: r.get_u64(),
-        }
-    }
-}
+// The two sub-pickers are stateless unit structs.
+snap_struct!(MobilityAwarePicker {
+    schedule,
+    last_pr,
+    rarest_picks,
+    sequential_picks;
+    rarest,
+    sequential,
+});
 
-impl Snap for RoleReversal {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.stored.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        RoleReversal {
-            stored: Snap::unsnap(r),
-        }
-    }
-}
+snap_struct!(RoleReversal {
+    stored,
+});
 
 #[cfg(test)]
 mod tests {

@@ -107,20 +107,11 @@ impl Series {
     }
 }
 
-impl simnet::snapshot::Snap for SeriesBuf {
-    fn snap(&self, w: &mut simnet::snapshot::SnapWriter) {
-        w.put_usize(self.capacity);
-        w.put_u64(self.dropped);
-        self.points.snap(w);
-    }
-    fn unsnap(r: &mut simnet::snapshot::SnapReader<'_>) -> Self {
-        SeriesBuf {
-            capacity: r.get_usize(),
-            dropped: r.get_u64(),
-            points: simnet::snapshot::Snap::unsnap(r),
-        }
-    }
-}
+simnet::snap_struct!(SeriesBuf {
+    capacity,
+    dropped,
+    points,
+});
 
 #[cfg(test)]
 mod tests {

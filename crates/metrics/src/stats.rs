@@ -236,33 +236,16 @@ impl RunSummary {
     }
 }
 
-impl simnet::snapshot::Snap for TimeSeries {
-    fn snap(&self, w: &mut simnet::snapshot::SnapWriter) {
-        self.points.snap(w);
-    }
-    fn unsnap(r: &mut simnet::snapshot::SnapReader<'_>) -> Self {
-        TimeSeries {
-            points: simnet::snapshot::Snap::unsnap(r),
-        }
-    }
-}
+simnet::snap_struct!(TimeSeries {
+    points,
+});
 
-impl simnet::snapshot::Snap for RateMeter {
-    fn snap(&self, w: &mut simnet::snapshot::SnapWriter) {
-        self.window.snap(w);
-        self.samples.snap(w);
-        w.put_u64(self.in_window);
-        w.put_u64(self.total);
-    }
-    fn unsnap(r: &mut simnet::snapshot::SnapReader<'_>) -> Self {
-        RateMeter {
-            window: simnet::snapshot::Snap::unsnap(r),
-            samples: simnet::snapshot::Snap::unsnap(r),
-            in_window: r.get_u64(),
-            total: r.get_u64(),
-        }
-    }
-}
+simnet::snap_struct!(RateMeter {
+    window,
+    samples,
+    in_window,
+    total,
+});
 
 #[cfg(test)]
 mod tests {

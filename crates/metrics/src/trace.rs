@@ -153,61 +153,27 @@ impl Trace {
     }
 }
 
-impl simnet::snapshot::Snap for TraceKind {
-    fn snap(&self, w: &mut simnet::snapshot::SnapWriter) {
-        w.put_u8(match self {
-            TraceKind::Connection => 0,
-            TraceKind::Mobility => 1,
-            TraceKind::Choke => 2,
-            TraceKind::Transfer => 3,
-            TraceKind::Tracker => 4,
-            TraceKind::Other => 5,
-        });
-    }
-    fn unsnap(r: &mut simnet::snapshot::SnapReader<'_>) -> Self {
-        match r.get_u8() {
-            0 => TraceKind::Connection,
-            1 => TraceKind::Mobility,
-            2 => TraceKind::Choke,
-            3 => TraceKind::Transfer,
-            4 => TraceKind::Tracker,
-            5 => TraceKind::Other,
-            t => panic!("snapshot: bad TraceKind tag {t}"),
-        }
-    }
-}
+simnet::snap_enum!(TraceKind {
+    0 => Connection,
+    1 => Mobility,
+    2 => Choke,
+    3 => Transfer,
+    4 => Tracker,
+    5 => Other,
+});
 
-impl simnet::snapshot::Snap for TraceEntry {
-    fn snap(&self, w: &mut simnet::snapshot::SnapWriter) {
-        self.at.snap(w);
-        self.kind.snap(w);
-        w.put_str(&self.message);
-    }
-    fn unsnap(r: &mut simnet::snapshot::SnapReader<'_>) -> Self {
-        TraceEntry {
-            at: simnet::snapshot::Snap::unsnap(r),
-            kind: simnet::snapshot::Snap::unsnap(r),
-            message: r.get_string(),
-        }
-    }
-}
+simnet::snap_struct!(TraceEntry {
+    at,
+    kind,
+    message,
+});
 
-impl simnet::snapshot::Snap for Trace {
-    fn snap(&self, w: &mut simnet::snapshot::SnapWriter) {
-        w.put_usize(self.capacity);
-        w.put_bool(self.enabled);
-        w.put_u64(self.dropped);
-        self.entries.snap(w);
-    }
-    fn unsnap(r: &mut simnet::snapshot::SnapReader<'_>) -> Self {
-        Trace {
-            capacity: r.get_usize(),
-            enabled: r.get_bool(),
-            dropped: r.get_u64(),
-            entries: simnet::snapshot::Snap::unsnap(r),
-        }
-    }
-}
+simnet::snap_struct!(Trace {
+    capacity,
+    enabled,
+    dropped,
+    entries,
+});
 
 #[cfg(test)]
 mod tests {

@@ -125,12 +125,12 @@ impl AddressBook {
 impl crate::snapshot::Snap for AddressBook {
     fn snap(&self, w: &mut crate::snapshot::SnapWriter) {
         w.put_u32(self.next);
-        crate::snapshot::snap_hash_map(&self.by_node, w);
+        crate::snapshot::Snap::snap(&self.by_node, w);
         w.put_u64(self.reassignments);
     }
     fn unsnap(r: &mut crate::snapshot::SnapReader<'_>) -> Self {
         let next = r.get_u32();
-        let by_node: HashMap<NodeId, SimAddr> = crate::snapshot::unsnap_hash_map(r);
+        let by_node: HashMap<NodeId, SimAddr> = crate::snapshot::Snap::unsnap(r);
         // The reverse index is derived state: rebuild it.
         let by_addr = by_node.iter().map(|(&n, &a)| (a, n)).collect();
         AddressBook {

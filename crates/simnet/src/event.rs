@@ -871,6 +871,7 @@ mod tests {
 // ---------------------------------------------------------------------------
 
 use crate::snapshot::{Snap, SnapReader, SnapWriter};
+use crate::{snap_enum, snap_in_place, snap_struct};
 
 impl Snap for EventToken {
     fn snap(&self, w: &mut SnapWriter) {
@@ -881,99 +882,41 @@ impl Snap for EventToken {
     }
 }
 
-impl Snap for Loc {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Loc::Free => w.put_u8(0),
-            Loc::Slot { level, slot } => {
-                w.put_u8(1);
-                w.put_u8(*level);
-                w.put_u8(*slot);
-            }
-            Loc::Overflow => w.put_u8(2),
-            Loc::Batch => w.put_u8(3),
-            Loc::Dead => w.put_u8(4),
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        match r.get_u8() {
-            0 => Loc::Free,
-            1 => Loc::Slot {
-                level: r.get_u8(),
-                slot: r.get_u8(),
-            },
-            2 => Loc::Overflow,
-            3 => Loc::Batch,
-            4 => Loc::Dead,
-            b => panic!("invalid Loc tag {b}"),
-        }
-    }
-}
+snap_enum!(Loc {
+    0 => Free,
+    1 => Slot { level, slot },
+    2 => Overflow,
+    3 => Batch,
+    4 => Dead,
+});
 
-impl<E: Snap> Snap for WheelQueue<E> {
-    /// The wheel slab is stored *verbatim* — free-list order, per-slot
-    /// generation counters, intrusive list links, origin, and batch —
-    /// because outstanding [`EventToken`]s embed `(generation, slab
-    /// index)` and live inside world state (stall watchdogs, TCP
-    /// timers). Any canonicalisation would dangle them. The slab layout
-    /// is itself a pure function of the operation history, so verbatim
-    /// storage keeps later saves byte-identical too.
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_u64(e.time);
-            w.put_u64(e.seq);
-            w.put_u32(e.gen);
-            w.put_u32(e.prev);
-            w.put_u32(e.next);
-            e.loc.snap(w);
-            e.event.snap(w);
-        }
-        w.put_u32(self.free_head);
-        for level in &self.levels {
-            for head in level {
-                w.put_u32(*head);
-            }
-        }
-        for m in &self.occupied {
-            w.put_u64(*m);
-        }
-        w.put_u32(self.overflow_head);
-        w.put_u64(self.cur);
-        self.batch.snap(w);
-        w.put_u64(self.next_seq);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        let n = r.get_usize();
-        let mut q = WheelQueue::new();
-        q.entries.reserve(n);
-        for _ in 0..n {
-            q.entries.push(Entry {
-                time: r.get_u64(),
-                seq: r.get_u64(),
-                gen: r.get_u32(),
-                prev: r.get_u32(),
-                next: r.get_u32(),
-                loc: Loc::unsnap(r),
-                event: Option::<E>::unsnap(r),
-            });
-        }
-        q.free_head = r.get_u32();
-        for level in &mut q.levels {
-            for head in level.iter_mut() {
-                *head = r.get_u32();
-            }
-        }
-        for m in &mut q.occupied {
-            *m = r.get_u64();
-        }
-        q.overflow_head = r.get_u32();
-        q.cur = r.get_u64();
-        q.batch = VecDeque::unsnap(r);
-        q.next_seq = r.get_u64();
-        q
-    }
-}
+snap_struct!(impl<E: Snap> Entry<E> {
+    time,
+    seq,
+    gen,
+    prev,
+    next,
+    loc,
+    event,
+});
+
+// The wheel slab is stored *verbatim* — free-list order, per-slot
+// generation counters, intrusive list links, origin, and batch —
+// because outstanding `EventToken`s embed `(generation, slab index)`
+// and live inside world state (stall watchdogs, TCP timers). Any
+// canonicalisation would dangle them. The slab layout is itself a pure
+// function of the operation history, so verbatim storage keeps later
+// saves byte-identical too.
+snap_struct!(impl<E: Snap> WheelQueue<E> {
+    entries,
+    free_head,
+    levels,
+    occupied,
+    overflow_head,
+    cur,
+    batch,
+    next_seq,
+});
 
 /// Tag byte ahead of the wheel blob. Blobs written when a second
 /// scheduler existed carried `0` for the heap; the byte stays so blob
@@ -984,26 +927,27 @@ impl<E: Snap> Snap for EventQueue<E> {
     fn snap(&self, w: &mut SnapWriter) {
         w.section("event_queue");
         w.put_u8(WHEEL_TAG);
-        self.wheel.snap(w);
-        w.put_usize(self.live);
-        w.put_usize(self.max_live);
-        w.put_u64(self.scheduled_total);
-        w.put_u64(self.cancelled_total);
-        w.put_u64(self.cancel_noops);
+        self.save_fields(w);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Self {
         r.section("event_queue");
         let tag = r.get_u8();
         assert!(tag == WHEEL_TAG, "invalid scheduler tag {tag}");
-        EventQueue {
-            wheel: WheelQueue::unsnap(r),
-            live: r.get_usize(),
-            max_live: r.get_usize(),
-            scheduled_total: r.get_u64(),
-            cancelled_total: r.get_u64(),
-            cancel_noops: r.get_u64(),
-        }
+        let mut q = EventQueue::new();
+        q.restore_fields(r);
+        q
     }
+}
+
+impl<E: Snap> EventQueue<E> {
+    snap_in_place!(fn save_fields / restore_fields {
+        wheel,
+        live,
+        max_live,
+        scheduled_total,
+        cancelled_total,
+        cancel_noops,
+    });
 }
 
 #[cfg(test)]

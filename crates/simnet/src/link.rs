@@ -217,60 +217,29 @@ pub fn packet_error_rate(ber: f64, bytes: u32) -> f64 {
     1.0 - ((1.0 - ber).ln() * bits).exp()
 }
 
-use crate::snapshot::{Snap, SnapReader, SnapWriter};
+use crate::snap_struct;
 
-impl Snap for LinkConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.bandwidth_bps);
-        self.prop_delay.snap(w);
-        w.put_usize(self.queue_packets);
-        w.put_f64(self.ber);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        LinkConfig {
-            bandwidth_bps: r.get_u64(),
-            prop_delay: Snap::unsnap(r),
-            queue_packets: r.get_usize(),
-            ber: r.get_f64(),
-        }
-    }
-}
+snap_struct!(LinkConfig {
+    bandwidth_bps,
+    prop_delay,
+    queue_packets,
+    ber,
+});
 
-impl Snap for LinkStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.accepted);
-        w.put_u64(self.delivered);
-        w.put_u64(self.dropped_buffer);
-        w.put_u64(self.dropped_error);
-        w.put_u64(self.bytes_delivered);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        LinkStats {
-            accepted: r.get_u64(),
-            delivered: r.get_u64(),
-            dropped_buffer: r.get_u64(),
-            dropped_error: r.get_u64(),
-            bytes_delivered: r.get_u64(),
-        }
-    }
-}
+snap_struct!(LinkStats {
+    accepted,
+    delivered,
+    dropped_buffer,
+    dropped_error,
+    bytes_delivered,
+});
 
-impl Snap for Link {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.config.snap(w);
-        self.completions.snap(w);
-        self.busy_until.snap(w);
-        self.stats.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        Link {
-            config: Snap::unsnap(r),
-            completions: Snap::unsnap(r),
-            busy_until: Snap::unsnap(r),
-            stats: Snap::unsnap(r),
-        }
-    }
-}
+snap_struct!(Link {
+    config,
+    completions,
+    busy_until,
+    stats,
+});
 
 #[cfg(test)]
 mod tests {

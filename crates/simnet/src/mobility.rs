@@ -97,22 +97,12 @@ impl MobilityProcess {
     }
 }
 
-impl crate::snapshot::Snap for MobilityProcess {
-    fn snap(&self, w: &mut crate::snapshot::SnapWriter) {
-        self.period.snap(w);
-        w.put_f64(self.jitter);
-        self.outage.snap(w);
-        self.next_at.snap(w);
-    }
-    fn unsnap(r: &mut crate::snapshot::SnapReader<'_>) -> Self {
-        MobilityProcess {
-            period: crate::snapshot::Snap::unsnap(r),
-            jitter: r.get_f64(),
-            outage: crate::snapshot::Snap::unsnap(r),
-            next_at: crate::snapshot::Snap::unsnap(r),
-        }
-    }
-}
+crate::snap_struct!(MobilityProcess {
+    period,
+    jitter,
+    outage,
+    next_at,
+});
 
 #[cfg(test)]
 mod tests {

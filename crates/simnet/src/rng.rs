@@ -223,24 +223,10 @@ impl<T: Sample> SampleRange<T> for std::ops::RangeInclusive<T> {
     }
 }
 
-impl crate::snapshot::Snap for SimRng {
-    fn snap(&self, w: &mut crate::snapshot::SnapWriter) {
-        for word in self.state {
-            w.put_u64(word);
-        }
-        w.put_u64(self.seed);
-    }
-    fn unsnap(r: &mut crate::snapshot::SnapReader<'_>) -> Self {
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.get_u64();
-        }
-        SimRng {
-            state,
-            seed: r.get_u64(),
-        }
-    }
-}
+crate::snap_struct!(SimRng {
+    state,
+    seed,
+});
 
 #[cfg(test)]
 mod tests {

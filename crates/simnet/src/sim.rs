@@ -152,22 +152,11 @@ impl<E> std::fmt::Debug for Simulator<E> {
     }
 }
 
-impl<E: crate::snapshot::Snap> crate::snapshot::Snap for Simulator<E> {
-    fn snap(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.section("sim");
-        self.now.snap(w);
-        self.queue.snap(w);
-        w.put_u64(self.processed);
-    }
-    fn unsnap(r: &mut crate::snapshot::SnapReader<'_>) -> Self {
-        r.section("sim");
-        Simulator {
-            now: crate::snapshot::Snap::unsnap(r),
-            queue: crate::snapshot::Snap::unsnap(r),
-            processed: r.get_u64(),
-        }
-    }
-}
+crate::snap_struct!(#[section = "sim"] impl<E: crate::snapshot::Snap> Simulator<E> {
+    now,
+    queue,
+    processed,
+});
 
 #[cfg(test)]
 mod tests {

@@ -16,8 +16,15 @@
 //! per-section markers that catch writer/reader drift early. Floats are
 //! stored as IEEE-754 bit patterns ([`f64::to_bits`]), never formatted,
 //! so round-trips are exact.
+//!
+//! A type's field order has one source: the field list it hands to
+//! [`snap_struct!`], [`snap_enum!`] or [`snap_in_place!`], from which
+//! both the writer and the reader are generated. Hand-written impls are
+//! left only where the encoding is not a field list (scalars,
+//! containers, newtypes, derived fields, by-name metric restores).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasher, Hash};
 
 /// Magic bytes opening every snapshot blob.
 pub const MAGIC: &[u8; 8] = b"WP2PSNAP";
@@ -96,11 +103,6 @@ impl SnapWriter {
 
     /// Appends a `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `i64`, little-endian.
-    pub fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -219,11 +221,6 @@ impl<'a> SnapReader<'a> {
         u64::from_le_bytes(self.take(8).try_into().expect("8 bytes"))
     }
 
-    /// Reads an `i64`.
-    pub fn get_i64(&mut self) -> i64 {
-        i64::from_le_bytes(self.take(8).try_into().expect("8 bytes"))
-    }
-
     /// Reads a `usize` (stored as `u64`).
     pub fn get_usize(&mut self) -> usize {
         let v = self.get_u64();
@@ -250,14 +247,162 @@ impl<'a> SnapReader<'a> {
 /// Types that serialize to / deserialize from a snapshot blob.
 ///
 /// Implementations must write and read the exact same fields in the
-/// exact same order; any change is a [`FORMAT_VERSION`] bump. Types
-/// with private fields implement this inside their defining module.
+/// exact same order; any change is a [`FORMAT_VERSION`] bump. Field
+/// lists are declared once with [`snap_struct!`] or [`snap_enum!`],
+/// which generate both directions, so the two orders cannot drift.
+/// Types with private fields implement this inside their defining
+/// module.
 pub trait Snap: Sized {
     /// Appends this value's dynamic state.
     fn snap(&self, w: &mut SnapWriter);
     /// Reads a value previously written by [`Snap::snap`].
     fn unsnap(r: &mut SnapReader<'_>) -> Self;
 }
+
+/// Implements [`Snap`] for a struct from one list of its fields.
+///
+/// `snap` writes the fields before the `;` in list order; `unsnap`
+/// reads them back in the same order into a struct literal and sets the
+/// fields after the `;` (metric instruments the embedder re-attaches)
+/// to `Default::default()`. Every field type must implement [`Snap`].
+/// A generic type is written `snap_struct!(impl<E: Snap> Queue<E> { .. })`;
+/// a leading `#[section = "name"]` brackets the fields with a
+/// [`SnapWriter::section`] marker.
+///
+/// ```
+/// # use simnet::snapshot::{Snap, SnapReader, SnapWriter};
+/// #[derive(Debug, Default, PartialEq)]
+/// struct Window { start: u64, bytes: u32, note: u8 }
+/// simnet::snap_struct!(Window {
+///     start,
+///     bytes;
+///     note
+/// });
+/// let mut w = SnapWriter::bare();
+/// Window { start: 7, bytes: 9, note: 1 }.snap(&mut w);
+/// let blob = w.into_bytes();
+/// assert_eq!(blob.len(), 8 + 4);
+/// let back = Window::unsnap(&mut SnapReader::bare(&blob));
+/// assert_eq!(back, Window { start: 7, bytes: 9, note: 0 });
+/// ```
+#[macro_export]
+macro_rules! snap_struct {
+    (@impl [$($gen:tt)*] [$($sec:literal)?] $t:ty {
+        $($field:ident),* $(,)? $(; $($skip:ident),* $(,)?)?
+    }) => {
+        impl<$($gen)*> $crate::snapshot::Snap for $t {
+            fn snap(&self, w: &mut $crate::snapshot::SnapWriter) {
+                $(w.section($sec);)?
+                $($crate::snapshot::Snap::snap(&self.$field, w);)*
+            }
+            fn unsnap(r: &mut $crate::snapshot::SnapReader<'_>) -> Self {
+                $(r.section($sec);)?
+                Self {
+                    $($field: $crate::snapshot::Snap::unsnap(r),)*
+                    $($($skip: ::core::default::Default::default(),)*)?
+                }
+            }
+        }
+    };
+    ($(#[section = $sec:literal])? impl<$($g:ident: $b:path),*> $t:ty { $($list:tt)* }) => {
+        $crate::snap_struct!(@impl [$($g: $b),*] [$($sec)?] $t { $($list)* });
+    };
+    ($(#[section = $sec:literal])? $t:ty { $($list:tt)* }) => {
+        $crate::snap_struct!(@impl [] [$($sec)?] $t { $($list)* });
+    };
+}
+
+/// Implements [`Snap`] for an enum from one tag table.
+///
+/// Each variant is written as its `u8` tag followed by its fields in
+/// list order; unit, named-field and tuple variants are all accepted
+/// (tuple fields are named only to bind them). Reading an unknown tag
+/// panics with `snapshot: unknown <type> tag <t>`.
+///
+/// ```
+/// # use simnet::snapshot::{Snap, SnapReader, SnapWriter};
+/// #[derive(Debug, PartialEq)]
+/// enum Step { Idle, Move { to: u32, by: u64 }, Hold(bool) }
+/// simnet::snap_enum!(Step {
+///     0 => Idle,
+///     1 => Move { to, by },
+///     2 => Hold(on),
+/// });
+/// let mut w = SnapWriter::bare();
+/// Step::Move { to: 3, by: 4 }.snap(&mut w);
+/// let blob = w.into_bytes();
+/// assert_eq!(blob[0], 1);
+/// assert_eq!(Step::unsnap(&mut SnapReader::bare(&blob)), Step::Move { to: 3, by: 4 });
+/// ```
+#[macro_export]
+macro_rules! snap_enum {
+    ($t:ty {
+        $($tag:literal => $v:ident $({ $($f:ident),* $(,)? })? $(( $($x:ident),* $(,)? ))?),* $(,)?
+    }) => {
+        impl $crate::snapshot::Snap for $t {
+            fn snap(&self, w: &mut $crate::snapshot::SnapWriter) {
+                match self {
+                    $(Self::$v $({ $($f),* })? $(( $($x),* ))? => {
+                        w.put_u8($tag);
+                        $($($crate::snapshot::Snap::snap($f, w);)*)?
+                        $($($crate::snapshot::Snap::snap($x, w);)*)?
+                    })*
+                }
+            }
+            fn unsnap(r: &mut $crate::snapshot::SnapReader<'_>) -> Self {
+                match r.get_u8() {
+                    $($tag => Self::$v
+                        $({ $($f: $crate::snapshot::Snap::unsnap(r)),* })?
+                        $(( $($crate::snap_enum!(@read r $x)),* ))?,)*
+                    t => panic!("snapshot: unknown {} tag {t}", stringify!($t)),
+                }
+            }
+        }
+    };
+    (@read $r:ident $x:ident) => {
+        $crate::snapshot::Snap::unsnap($r)
+    };
+}
+
+/// Generates an in-place writer/reader pair over a list of (dotted)
+/// field paths, for owners that are restored onto a freshly built value
+/// rather than rebuilt from the blob: `save` writes each path's value
+/// in list order, `restore` overwrites each path with the value read.
+/// Sections, count checks and metric re-attachment stay hand-written
+/// around the generated calls.
+///
+/// ```
+/// # use simnet::snapshot::{SnapReader, SnapWriter};
+/// #[derive(Default)]
+/// struct Limits { up: u64 }
+/// #[derive(Default)]
+/// struct Host { limits: Limits, tick: u32, scratch: Vec<u8> }
+/// impl Host {
+///     simnet::snap_in_place!(fn save / restore {
+///         limits.up,
+///         tick,
+///     });
+/// }
+/// let mut w = SnapWriter::bare();
+/// Host { limits: Limits { up: 5 }, tick: 2, scratch: vec![1] }.save(&mut w);
+/// let blob = w.into_bytes();
+/// let mut h = Host::default();
+/// h.restore(&mut SnapReader::bare(&blob));
+/// assert_eq!((h.limits.up, h.tick), (5, 2));
+/// ```
+#[macro_export]
+macro_rules! snap_in_place {
+    (fn $save:ident / $restore:ident { $($($p:ident).+),* $(,)? }) => {
+        fn $save(&self, w: &mut $crate::snapshot::SnapWriter) {
+            $($crate::snapshot::Snap::snap(&self.$($p).+, w);)*
+        }
+        fn $restore(&mut self, r: &mut $crate::snapshot::SnapReader<'_>) {
+            $(self.$($p).+ = $crate::snapshot::Snap::unsnap(r);)*
+        }
+    };
+}
+
+pub use crate::{snap_enum, snap_in_place, snap_struct};
 
 macro_rules! impl_snap_scalar {
     ($($t:ty => $put:ident / $get:ident),* $(,)?) => {$(
@@ -277,7 +422,6 @@ impl_snap_scalar! {
     u16 => put_u16 / get_u16,
     u32 => put_u32 / get_u32,
     u64 => put_u64 / get_u64,
-    i64 => put_i64 / get_i64,
     usize => put_usize / get_usize,
     f64 => put_f64 / get_f64,
     bool => put_bool / get_bool,
@@ -311,50 +455,52 @@ impl<T: Snap> Snap for Option<T> {
     }
 }
 
-impl<T: Snap> Snap for Vec<T> {
+/// One body for every length-prefixed sequence: the length, then each
+/// element in iteration order.
+macro_rules! impl_snap_seq {
+    ($($c:ident $(+ $bound:path)?),*) => {$(
+        impl<T: Snap $(+ $bound)?> Snap for $c<T> {
+            fn snap(&self, w: &mut SnapWriter) {
+                w.put_usize(self.len());
+                for v in self {
+                    v.snap(w);
+                }
+            }
+            fn unsnap(r: &mut SnapReader<'_>) -> Self {
+                let n = r.get_usize();
+                (0..n).map(|_| T::unsnap(r)).collect()
+            }
+        }
+    )*};
+}
+
+impl_snap_seq!(Vec, VecDeque, BTreeSet + Ord);
+
+/// One body for the tuples: the elements in order, no length.
+macro_rules! impl_snap_tuple {
+    ($(($($t:ident . $i:tt),+)),*) => {$(
+        impl<$($t: Snap),+> Snap for ($($t,)+) {
+            fn snap(&self, w: &mut SnapWriter) {
+                $(self.$i.snap(w);)+
+            }
+            fn unsnap(r: &mut SnapReader<'_>) -> Self {
+                ($($t::unsnap(r),)+)
+            }
+        }
+    )*};
+}
+
+impl_snap_tuple!((A.0, B.1), (A.0, B.1, C.2));
+
+/// Fixed-size arrays carry no length: the elements in index order.
+impl<T: Snap, const N: usize> Snap for [T; N] {
     fn snap(&self, w: &mut SnapWriter) {
-        w.put_usize(self.len());
         for v in self {
             v.snap(w);
         }
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        let n = r.get_usize();
-        (0..n).map(|_| T::unsnap(r)).collect()
-    }
-}
-
-impl<T: Snap> Snap for VecDeque<T> {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_usize(self.len());
-        for v in self {
-            v.snap(w);
-        }
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        let n = r.get_usize();
-        (0..n).map(|_| T::unsnap(r)).collect()
-    }
-}
-
-impl<A: Snap, B: Snap> Snap for (A, B) {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.0.snap(w);
-        self.1.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        (A::unsnap(r), B::unsnap(r))
-    }
-}
-
-impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.0.snap(w);
-        self.1.snap(w);
-        self.2.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        (A::unsnap(r), B::unsnap(r), C::unsnap(r))
+        std::array::from_fn(|_| T::unsnap(r))
     }
 }
 
@@ -372,55 +518,36 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
     }
 }
 
-impl<T: Snap + Ord> Snap for BTreeSet<T> {
+/// Any `HashMap` (std or [`crate::hash::FastHashMap`]) is written in
+/// sorted key order and rebuilt by re-inserting in that order, which
+/// makes the restored iteration order a pure function of the blob — the
+/// same blob always rebuilds the same map — independent of the
+/// insertion history of the saved map.
+impl<K, V, S> Snap for HashMap<K, V, S>
+where
+    K: Snap + Ord + Hash,
+    V: Snap,
+    S: BuildHasher + Default,
+{
     fn snap(&self, w: &mut SnapWriter) {
-        w.put_usize(self.len());
-        for v in self {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        w.put_usize(entries.len());
+        for (k, v) in entries {
+            k.snap(w);
             v.snap(w);
         }
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Self {
         let n = r.get_usize();
-        (0..n).map(|_| T::unsnap(r)).collect()
+        let mut map = HashMap::with_capacity_and_hasher(n, S::default());
+        for _ in 0..n {
+            let k = K::unsnap(r);
+            let v = V::unsnap(r);
+            map.insert(k, v);
+        }
+        map
     }
-}
-
-/// Serializes any `HashMap` in sorted key order. Hash maps (std or
-/// [`crate::hash::FastHashMap`]) are rebuilt by re-inserting in sorted
-/// key order on restore, which makes the restored iteration order a
-/// pure function of the blob — the same blob always rebuilds the same
-/// map — independent of the insertion history of the saved map.
-pub fn snap_hash_map<K, V, S>(
-    map: &std::collections::HashMap<K, V, S>,
-    w: &mut SnapWriter,
-) where
-    K: Snap + Ord + Clone,
-    V: Snap + Clone,
-{
-    let mut entries: Vec<(&K, &V)> = map.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    w.put_usize(entries.len());
-    for (k, v) in entries {
-        k.snap(w);
-        v.snap(w);
-    }
-}
-
-/// Restores a `HashMap` written by [`snap_hash_map`].
-pub fn unsnap_hash_map<K, V, S>(r: &mut SnapReader<'_>) -> std::collections::HashMap<K, V, S>
-where
-    K: Snap + Eq + std::hash::Hash,
-    V: Snap,
-    S: std::hash::BuildHasher + Default,
-{
-    let n = r.get_usize();
-    let mut map = std::collections::HashMap::with_capacity_and_hasher(n, S::default());
-    for _ in 0..n {
-        let k = K::unsnap(r);
-        let v = V::unsnap(r);
-        map.insert(k, v);
-    }
-    map
 }
 
 impl Snap for crate::time::SimTime {
@@ -535,14 +662,36 @@ mod tests {
         }
         let dump = |m: &crate::hash::FastHashMap<u64, u64>| {
             let mut w = SnapWriter::bare();
-            snap_hash_map(m, &mut w);
+            m.snap(&mut w);
             w.into_bytes()
         };
         assert_eq!(dump(&a), dump(&b), "blob must not depend on insert order");
         let blob = dump(&a);
         let mut r = SnapReader::bare(&blob);
-        let back: crate::hash::FastHashMap<u64, u64> = unsnap_hash_map(&mut r);
+        let back = crate::hash::FastHashMap::<u64, u64>::unsnap(&mut r);
         assert_eq!(back, a);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown")]
+    fn snap_enum_rejects_an_unknown_tag() {
+        enum Two {
+            A,
+            B(u32),
+        }
+        snap_enum!(Two {
+            0 => A,
+            1 => B(x),
+        });
+        let mut w = SnapWriter::bare();
+        Two::B(5).snap(&mut w);
+        Two::A.snap(&mut w);
+        w.put_u8(2);
+        let blob = w.into_bytes();
+        let mut r = SnapReader::bare(&blob);
+        assert!(matches!(Two::unsnap(&mut r), Two::B(5)));
+        assert!(matches!(Two::unsnap(&mut r), Two::A));
+        let _ = Two::unsnap(&mut r);
     }
 
     #[test]

@@ -238,68 +238,34 @@ impl WirelessChannel {
     }
 }
 
-use crate::snapshot::{Snap, SnapReader, SnapWriter};
+use crate::snap_struct;
 
-impl Snap for WirelessConfig {
-    // Faults mutate `ber` and `bandwidth_bps` in place, so the config is
-    // live state, not static structure.
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.bandwidth_bps);
-        self.prop_delay.snap(w);
-        w.put_usize(self.queue_frames);
-        w.put_f64(self.ber);
-        self.per_frame_overhead.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        WirelessConfig {
-            bandwidth_bps: r.get_u64(),
-            prop_delay: Snap::unsnap(r),
-            queue_frames: r.get_usize(),
-            ber: r.get_f64(),
-            per_frame_overhead: Snap::unsnap(r),
-        }
-    }
-}
+// Faults mutate `ber` and `bandwidth_bps` in place, so the config is
+// live state, not static structure.
+snap_struct!(WirelessConfig {
+    bandwidth_bps,
+    prop_delay,
+    queue_frames,
+    ber,
+    per_frame_overhead,
+});
 
-impl Snap for DirectionStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.accepted);
-        w.put_u64(self.delivered);
-        w.put_u64(self.dropped_buffer);
-        w.put_u64(self.dropped_error);
-        w.put_u64(self.bytes_delivered);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        DirectionStats {
-            accepted: r.get_u64(),
-            delivered: r.get_u64(),
-            dropped_buffer: r.get_u64(),
-            dropped_error: r.get_u64(),
-            bytes_delivered: r.get_u64(),
-        }
-    }
-}
+snap_struct!(DirectionStats {
+    accepted,
+    delivered,
+    dropped_buffer,
+    dropped_error,
+    bytes_delivered,
+});
 
-impl Snap for WirelessChannel {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.config.snap(w);
-        self.completions.snap(w);
-        self.busy_until.snap(w);
-        self.up.snap(w);
-        self.down.snap(w);
-        self.drop_log.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        WirelessChannel {
-            config: Snap::unsnap(r),
-            completions: Snap::unsnap(r),
-            busy_until: Snap::unsnap(r),
-            up: Snap::unsnap(r),
-            down: Snap::unsnap(r),
-            drop_log: Snap::unsnap(r),
-        }
-    }
-}
+snap_struct!(WirelessChannel {
+    config,
+    completions,
+    busy_until,
+    up,
+    down,
+    drop_log,
+});
 
 #[cfg(test)]
 mod tests {

@@ -2269,39 +2269,16 @@ impl FlowWorld {
         assert!(self.started, "save() requires a started world");
         let mut w = SnapWriter::new(FLOW_WORLD_TAG);
         w.section("flow_world");
-        self.sim.snap(&mut w);
-        self.tracker.snap(&mut w);
-        self.book.snap(&mut w);
-        self.nodes.snap(&mut w);
+        self.save_head(&mut w);
         w.section("tasks");
         w.put_usize(self.tasks.len());
         for task in &self.tasks {
             task.save(&mut w);
         }
         w.section("conns");
-        self.conns.snap(&mut w);
-        self.node_tasks.snap(&mut w);
-        self.dead_queue.snap(&mut w);
-        self.tick_due.snap(&mut w);
-        self.rng.snap(&mut w);
-        self.last_advance.snap(&mut w);
-        self.next_metrics.snap(&mut w);
-        self.trace.snap(&mut w);
-        self.handoff_down_since.snap(&mut w);
+        self.save_conns(&mut w);
         self.engine.save_state(&mut w);
-        w.put_usize(self.cap_base);
-        self.task_capped.snap(&mut w);
-        self.pending_tasks.snap(&mut w);
-        self.pending_flag.snap(&mut w);
-        w.put_u64(self.rate_solves);
-        w.put_u64(self.rate_skips);
-        w.put_u64(self.stall_aborts);
-        w.put_bool(self.tracker_down);
-        self.blackholed.snap(&mut w);
-        self.access_baseline.snap(&mut w);
-        self.node_upload_cap.snap(&mut w);
-        self.lossy_factor.snap(&mut w);
-        self.squeeze_factor.snap(&mut w);
+        self.save_tail(&mut w);
         self.faults.snap_cursor(&mut w);
         self.checker.snap(&mut w);
         self.metrics.snap_state(&mut w);
@@ -2325,10 +2302,7 @@ impl FlowWorld {
         assert!(self.started, "restore() requires a started world");
         let mut r = SnapReader::new(blob, FLOW_WORLD_TAG);
         r.section("flow_world");
-        self.sim = Snap::unsnap(&mut r);
-        self.tracker = Snap::unsnap(&mut r);
-        self.book = Snap::unsnap(&mut r);
-        self.nodes = Snap::unsnap(&mut r);
+        self.restore_head(&mut r);
         r.section("tasks");
         let n = r.get_usize();
         assert_eq!(n, self.tasks.len(), "snapshot task count mismatch");
@@ -2338,35 +2312,53 @@ impl FlowWorld {
             self.tasks[t].restore(t, addr, &metrics, &mut r);
         }
         r.section("conns");
-        self.conns = Snap::unsnap(&mut r);
-        self.node_tasks = Snap::unsnap(&mut r);
-        self.dead_queue = Snap::unsnap(&mut r);
-        self.tick_due = Snap::unsnap(&mut r);
-        self.rng = Snap::unsnap(&mut r);
-        self.last_advance = Snap::unsnap(&mut r);
-        self.next_metrics = Snap::unsnap(&mut r);
-        self.trace = Snap::unsnap(&mut r);
-        self.handoff_down_since = Snap::unsnap(&mut r);
+        self.restore_conns(&mut r);
         self.engine.restore_state(&mut r);
-        let cap_base = r.get_usize();
+        let cap_base = self.cap_base;
+        self.restore_tail(&mut r);
         assert_eq!(cap_base, self.cap_base, "snapshot node-layout mismatch");
-        self.task_capped = Snap::unsnap(&mut r);
-        self.pending_tasks = Snap::unsnap(&mut r);
-        self.pending_flag = Snap::unsnap(&mut r);
-        self.rate_solves = r.get_u64();
-        self.rate_skips = r.get_u64();
-        self.stall_aborts = r.get_u64();
-        self.tracker_down = r.get_bool();
-        self.blackholed = Snap::unsnap(&mut r);
-        self.access_baseline = Snap::unsnap(&mut r);
-        self.node_upload_cap = Snap::unsnap(&mut r);
-        self.lossy_factor = Snap::unsnap(&mut r);
-        self.squeeze_factor = Snap::unsnap(&mut r);
         self.faults.unsnap_cursor(&mut r);
         self.checker = Snap::unsnap(&mut r);
         self.metrics.restore_state(&mut r);
         assert!(r.is_exhausted(), "snapshot has trailing bytes");
     }
+
+    snap_in_place!(fn save_head / restore_head {
+        sim,
+        tracker,
+        book,
+        nodes,
+    });
+
+    snap_in_place!(fn save_conns / restore_conns {
+        conns,
+        node_tasks,
+        dead_queue,
+        tick_due,
+        rng,
+        last_advance,
+        next_metrics,
+        trace,
+        handoff_down_since,
+    });
+
+    // `cap_base` is layout, not state: restore checks it against the
+    // rebuilt world's.
+    snap_in_place!(fn save_tail / restore_tail {
+        cap_base,
+        task_capped,
+        pending_tasks,
+        pending_flag,
+        rate_solves,
+        rate_skips,
+        stall_aborts,
+        tracker_down,
+        blackholed,
+        access_baseline,
+        node_upload_cap,
+        lossy_factor,
+        squeeze_factor,
+    });
 }
 
 /// World-kind tag of flow-world snapshot blobs.
@@ -2547,7 +2539,7 @@ impl FaultHooks for FlowWorld {
 // tasks restore onto the spec the rebuilt world already carries).
 // ----------------------------------------------------------------------
 
-use simnet::snapshot::{snap_hash_map, unsnap_hash_map, Snap, SnapReader, SnapWriter};
+use simnet::snapshot::{snap_enum, snap_in_place, snap_struct, Snap, SnapReader, SnapWriter};
 
 impl TaskState {
     fn save(&self, w: &mut SnapWriter) {
@@ -2555,27 +2547,7 @@ impl TaskState {
         if let Some(c) = &self.client {
             c.save_state(w);
         }
-        self.saved_progress.snap(w);
-        self.identity.snap(w);
-        self.rr.snap(w);
-        self.lihd.snap(w);
-        self.dl_meter.snap(w);
-        w.put_u64(self.last_down_total);
-        self.acc.snap(w);
-        w.put_u64(self.delivered_down);
-        w.put_u64(self.delivered_up);
-        self.series_down.snap(w);
-        self.series_up.snap(w);
-        self.next_client_tick.snap(w);
-        w.put_u32(self.generation);
-        w.put_bool(self.started);
-        self.completed_at.snap(w);
-        w.put_u32(self.announce_fails);
-        self.last_min_interval.snap(w);
-        self.saved_addrs.snap(w);
-        snap_hash_map(&self.conn_index, w);
-        snap_hash_map(&self.peer_bytes, w);
-        self.rng.snap(w);
+        self.save_fields(w);
     }
 
     /// Overlays serialized task state onto this (builder-rebuilt) task.
@@ -2611,236 +2583,91 @@ impl TaskState {
         } else {
             None
         };
-        self.saved_progress = Snap::unsnap(r);
-        self.identity = Snap::unsnap(r);
-        self.rr = Snap::unsnap(r);
-        self.lihd = Snap::unsnap(r);
+        self.restore_fields(r);
         if metrics.is_enabled() {
             if let Some(l) = self.lihd.as_mut() {
                 l.attach_metrics(metrics, &format!("task{t}"));
             }
         }
-        self.dl_meter = Snap::unsnap(r);
-        self.last_down_total = r.get_u64();
-        self.acc = Snap::unsnap(r);
-        self.delivered_down = r.get_u64();
-        self.delivered_up = r.get_u64();
-        self.series_down = Snap::unsnap(r);
-        self.series_up = Snap::unsnap(r);
-        self.next_client_tick = Snap::unsnap(r);
-        self.generation = r.get_u32();
-        self.started = r.get_bool();
-        self.completed_at = Snap::unsnap(r);
-        self.announce_fails = r.get_u32();
-        self.last_min_interval = Snap::unsnap(r);
-        self.saved_addrs = Snap::unsnap(r);
-        self.conn_index = unsnap_hash_map(r);
-        self.peer_bytes = unsnap_hash_map(r);
-        self.rng = Snap::unsnap(r);
     }
+
+    snap_in_place!(fn save_fields / restore_fields {
+        saved_progress,
+        identity,
+        rr,
+        lihd,
+        dl_meter,
+        last_down_total,
+        acc,
+        delivered_down,
+        delivered_up,
+        series_down,
+        series_up,
+        next_client_tick,
+        generation,
+        started,
+        completed_at,
+        announce_fails,
+        last_min_interval,
+        saved_addrs,
+        conn_index,
+        peer_bytes,
+        rng,
+    });
 }
 
-impl Snap for Access {
-    fn snap(&self, w: &mut SnapWriter) {
-        match *self {
-            Access::Wired { up, down } => {
-                w.put_u8(0);
-                w.put_f64(up);
-                w.put_f64(down);
-            }
-            Access::Wireless { capacity } => {
-                w.put_u8(1);
-                w.put_f64(capacity);
-            }
-        }
-    }
+snap_enum!(Access {
+    0 => Wired { up, down },
+    1 => Wireless { capacity },
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        match r.get_u8() {
-            0 => Access::Wired {
-                up: r.get_f64(),
-                down: r.get_f64(),
-            },
-            1 => Access::Wireless {
-                capacity: r.get_f64(),
-            },
-            t => panic!("snapshot: unknown Access tag {t}"),
-        }
-    }
-}
+snap_struct!(Node {
+    access,
+    addr,
+    alive,
+    mobility,
+});
 
-impl Snap for Node {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.access.snap(w);
-        self.addr.snap(w);
-        w.put_bool(self.alive);
-        self.mobility.snap(w);
-    }
+snap_struct!(ConnId {
+    slot,
+    gen,
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        Node {
-            access: Snap::unsnap(r),
-            addr: Snap::unsnap(r),
-            alive: r.get_bool(),
-            mobility: Snap::unsnap(r),
-        }
-    }
-}
+snap_struct!(ConnEnd {
+    task,
+    key,
+    generation,
+});
 
-impl Snap for ConnId {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.slot);
-        w.put_u32(self.gen);
-    }
+snap_struct!(FlowQ {
+    queue,
+    head_remaining,
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        ConnId {
-            slot: r.get_u32(),
-            gen: r.get_u32(),
-        }
-    }
-}
+snap_struct!(ConnArena {
+    gen,
+    live,
+    uid,
+    a,
+    b,
+    ab,
+    ba,
+    dead_since,
+    stall,
+    last_progress,
+    free,
+    next_uid,
+});
 
-impl Snap for ConnEnd {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_usize(self.task);
-        w.put_u64(self.key);
-        w.put_u32(self.generation);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        ConnEnd {
-            task: r.get_usize(),
-            key: r.get_u64(),
-            generation: r.get_u32(),
-        }
-    }
-}
-
-impl Snap for FlowQ {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.queue.snap(w);
-        w.put_f64(self.head_remaining);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        FlowQ {
-            queue: Snap::unsnap(r),
-            head_remaining: r.get_f64(),
-        }
-    }
-}
-
-impl Snap for ConnArena {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.gen.snap(w);
-        self.live.snap(w);
-        self.uid.snap(w);
-        self.a.snap(w);
-        self.b.snap(w);
-        self.ab.snap(w);
-        self.ba.snap(w);
-        self.dead_since.snap(w);
-        self.stall.snap(w);
-        self.last_progress.snap(w);
-        self.free.snap(w);
-        w.put_u64(self.next_uid);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        ConnArena {
-            gen: Snap::unsnap(r),
-            live: Snap::unsnap(r),
-            uid: Snap::unsnap(r),
-            a: Snap::unsnap(r),
-            b: Snap::unsnap(r),
-            ab: Snap::unsnap(r),
-            ba: Snap::unsnap(r),
-            dead_since: Snap::unsnap(r),
-            stall: Snap::unsnap(r),
-            last_progress: Snap::unsnap(r),
-            free: Snap::unsnap(r),
-            next_uid: r.get_u64(),
-        }
-    }
-}
-
-impl Snap for Ev {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Ev::Tick => w.put_u8(0),
-            Ev::Dial {
-                task,
-                generation,
-                key,
-                addr,
-                target,
-            } => {
-                w.put_u8(1);
-                w.put_usize(*task);
-                w.put_u32(*generation);
-                w.put_u64(*key);
-                addr.snap(w);
-                target.snap(w);
-            }
-            Ev::TrackerReply {
-                task,
-                generation,
-                event,
-            } => {
-                w.put_u8(2);
-                w.put_usize(*task);
-                w.put_u32(*generation);
-                event.snap(w);
-            }
-            Ev::HandoffStart { node, ends } => {
-                w.put_u8(3);
-                w.put_usize(*node);
-                ends.snap(w);
-            }
-            Ev::HandoffEnd { node } => {
-                w.put_u8(4);
-                w.put_usize(*node);
-            }
-            Ev::StallCheck { cid } => {
-                w.put_u8(5);
-                cid.snap(w);
-            }
-            Ev::TaskStart { task } => {
-                w.put_u8(6);
-                w.put_usize(*task);
-            }
-        }
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        match r.get_u8() {
-            0 => Ev::Tick,
-            1 => Ev::Dial {
-                task: r.get_usize(),
-                generation: r.get_u32(),
-                key: r.get_u64(),
-                addr: Snap::unsnap(r),
-                target: Snap::unsnap(r),
-            },
-            2 => Ev::TrackerReply {
-                task: r.get_usize(),
-                generation: r.get_u32(),
-                event: Snap::unsnap(r),
-            },
-            3 => Ev::HandoffStart {
-                node: r.get_usize(),
-                ends: Snap::unsnap(r),
-            },
-            4 => Ev::HandoffEnd {
-                node: r.get_usize(),
-            },
-            5 => Ev::StallCheck { cid: Snap::unsnap(r) },
-            6 => Ev::TaskStart { task: r.get_usize() },
-            t => panic!("snapshot: unknown flow event tag {t}"),
-        }
-    }
-}
+snap_enum!(Ev {
+    0 => Tick,
+    1 => Dial { task, generation, key, addr, target },
+    2 => TrackerReply { task, generation, event },
+    3 => HandoffStart { node, ends },
+    4 => HandoffEnd { node },
+    5 => StallCheck { cid },
+    6 => TaskStart { task },
+});
 
 #[cfg(test)]
 mod tests {

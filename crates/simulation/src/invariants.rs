@@ -269,60 +269,28 @@ impl InvariantChecker {
     }
 }
 
-use simnet::snapshot::{Snap, SnapReader, SnapWriter};
+use simnet::snapshot::snap_struct;
 
-impl Snap for TaskSnap {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.have.snap(w);
-        w.put_u64(self.initial_bytes);
-        w.put_u64(self.gained_total);
-    }
+snap_struct!(TaskSnap {
+    have,
+    initial_bytes,
+    gained_total,
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        TaskSnap {
-            have: Snap::unsnap(r),
-            initial_bytes: r.get_u64(),
-            gained_total: r.get_u64(),
-        }
-    }
-}
-
-impl Snap for TcpSnap {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.rcv_nxt.snap(w);
-        w.put_u64(self.delivered);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        TcpSnap {
-            rcv_nxt: Snap::unsnap(r),
-            delivered: r.get_u64(),
-        }
-    }
-}
+snap_struct!(TcpSnap {
+    rcv_nxt,
+    delivered,
+});
 
 // The checker's observation history rides in world snapshots so the
 // restored world's built-in checker counts passes — and fires — exactly
 // like the straight-through run's.
-impl Snap for InvariantChecker {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.section("invariants");
-        w.put_u64(self.checks);
-        self.tasks.snap(w);
-        self.identities.snap(w);
-        self.tcp.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        r.section("invariants");
-        InvariantChecker {
-            checks: r.get_u64(),
-            tasks: Snap::unsnap(r),
-            identities: Snap::unsnap(r),
-            tcp: Snap::unsnap(r),
-        }
-    }
-}
+snap_struct!(#[section = "invariants"] InvariantChecker {
+    checks,
+    tasks,
+    identities,
+    tcp,
+});
 
 #[cfg(test)]
 mod tests {

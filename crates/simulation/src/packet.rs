@@ -950,19 +950,7 @@ impl PacketWorld {
             node.save(&mut w);
         }
         w.section("pconns");
-        self.conns.snap(&mut w);
-        self.node_conns.snap(&mut w);
-        self.ckeys.snap(&mut w);
-        self.tracker.snap(&mut w);
-        self.book.snap(&mut w);
-        self.rng.snap(&mut w);
-        w.put_u32(self.next_iss);
-        w.put_bool(self.clients_started);
-        self.blackholed.snap(&mut w);
-        self.crashed.snap(&mut w);
-        self.ber_baseline.snap(&mut w);
-        self.bw_baseline.snap(&mut w);
-        w.put_bool(self.tracker_down);
+        self.save_fields(&mut w);
         self.faults.snap_cursor(&mut w);
         self.checker.snap(&mut w);
         self.metrics.snap_state(&mut w);
@@ -992,7 +980,7 @@ impl PacketWorld {
             self.nodes[i].restore(i, &mut r);
         }
         r.section("pconns");
-        self.conns = Snap::unsnap(&mut r);
+        self.restore_fields(&mut r);
         if self.metrics.is_enabled() {
             // Unsnapped endpoints and AM filters come back detached;
             // re-wire them under the same per-connection names so the
@@ -1010,23 +998,27 @@ impl PacketWorld {
                 }
             }
         }
-        self.node_conns = Snap::unsnap(&mut r);
-        self.ckeys = Snap::unsnap(&mut r);
-        self.tracker = Snap::unsnap(&mut r);
-        self.book = Snap::unsnap(&mut r);
-        self.rng = Snap::unsnap(&mut r);
-        self.next_iss = r.get_u32();
-        self.clients_started = r.get_bool();
-        self.blackholed = Snap::unsnap(&mut r);
-        self.crashed = Snap::unsnap(&mut r);
-        self.ber_baseline = Snap::unsnap(&mut r);
-        self.bw_baseline = Snap::unsnap(&mut r);
-        self.tracker_down = r.get_bool();
         self.faults.unsnap_cursor(&mut r);
         self.checker = Snap::unsnap(&mut r);
         self.metrics.restore_state(&mut r);
         assert!(r.is_exhausted(), "snapshot has trailing bytes");
     }
+
+    snap_in_place!(fn save_fields / restore_fields {
+        conns,
+        node_conns,
+        ckeys,
+        tracker,
+        book,
+        rng,
+        next_iss,
+        clients_started,
+        blackholed,
+        crashed,
+        ber_baseline,
+        bw_baseline,
+        tracker_down,
+    });
 
     /// Runs until `deadline`; `on_event` is invoked after every processed
     /// event (for experiment sampling).
@@ -1196,21 +1188,16 @@ impl FaultHooks for PacketWorld {
 /// World-kind tag of packet-world snapshot blobs.
 pub const PACKET_WORLD_TAG: u32 = 2;
 
-use simnet::snapshot::{Snap, SnapReader, SnapWriter};
+use simnet::snapshot::{snap_enum, snap_in_place, snap_struct, Snap, SnapReader, SnapWriter};
 
 impl PNode {
     fn save(&self, w: &mut SnapWriter) {
-        self.channel.snap(w);
-        self.am.snap(w);
-        self.addr.snap(w);
+        self.save_head(w);
         w.put_bool(self.client.is_some());
         if let Some(c) = &self.client {
             c.save_state(w);
         }
-        w.put_u64(self.delivered_down);
-        w.put_u64(self.delivered_up);
-        w.put_u32(self.announce_fails);
-        self.last_min_interval.snap(w);
+        self.save_tail(w);
     }
 
     /// Overlays serialized node state. The client session — whose
@@ -1218,9 +1205,7 @@ impl PNode {
     /// the rebuilt world's client object in place, keeping its attached
     /// metrics instruments.
     fn restore(&mut self, n: PNodeKey, r: &mut SnapReader<'_>) {
-        self.channel = Snap::unsnap(r);
-        self.am = Snap::unsnap(r);
-        self.addr = Snap::unsnap(r);
+        self.restore_head(r);
         if r.get_bool() {
             let client = self
                 .client
@@ -1231,99 +1216,46 @@ impl PNode {
             // The saved run had stopped this client (e.g. the seed left).
             self.client = None;
         }
-        self.delivered_down = r.get_u64();
-        self.delivered_up = r.get_u64();
-        self.announce_fails = r.get_u32();
-        self.last_min_interval = Snap::unsnap(r);
+        self.restore_tail(r);
     }
+
+    snap_in_place!(fn save_head / restore_head {
+        channel,
+        am,
+        addr,
+    });
+
+    snap_in_place!(fn save_tail / restore_tail {
+        delivered_down,
+        delivered_up,
+        announce_fails,
+        last_min_interval,
+    });
 }
 
-impl Snap for PConn {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_usize(self.a_node);
-        w.put_usize(self.b_node);
-        self.a.snap(w);
-        self.b.snap(w);
-        self.a_filter.snap(w);
-        self.b_filter.snap(w);
-        self.a_timer.snap(w);
-        self.b_timer.snap(w);
-        self.a_key.snap(w);
-        self.b_key.snap(w);
-        self.a2b.snap(w);
-        self.b2a.snap(w);
-        w.put_u64(self.a_written);
-        w.put_u64(self.b_written);
-        w.put_bool(self.a_up);
-        w.put_bool(self.b_up);
-        w.put_bool(self.closed);
-    }
+snap_struct!(PConn {
+    a_node,
+    b_node,
+    a,
+    b,
+    a_filter,
+    b_filter,
+    a_timer,
+    b_timer,
+    a_key,
+    b_key,
+    a2b,
+    b2a,
+    a_written,
+    b_written,
+    a_up,
+    b_up,
+    closed,
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        PConn {
-            a_node: r.get_usize(),
-            b_node: r.get_usize(),
-            a: Snap::unsnap(r),
-            b: Snap::unsnap(r),
-            a_filter: Snap::unsnap(r),
-            b_filter: Snap::unsnap(r),
-            a_timer: Snap::unsnap(r),
-            b_timer: Snap::unsnap(r),
-            a_key: Snap::unsnap(r),
-            b_key: Snap::unsnap(r),
-            a2b: Snap::unsnap(r),
-            b2a: Snap::unsnap(r),
-            a_written: r.get_u64(),
-            b_written: r.get_u64(),
-            a_up: r.get_bool(),
-            b_up: r.get_bool(),
-            closed: r.get_bool(),
-        }
-    }
-}
-
-impl Snap for PEv {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            PEv::Hop { conn, to_a, seg } => {
-                w.put_u8(0);
-                w.put_usize(*conn);
-                w.put_bool(*to_a);
-                seg.snap(w);
-            }
-            PEv::Deliver { conn, to_a, seg } => {
-                w.put_u8(1);
-                w.put_usize(*conn);
-                w.put_bool(*to_a);
-                seg.snap(w);
-            }
-            PEv::Timer { conn, a_side } => {
-                w.put_u8(2);
-                w.put_usize(*conn);
-                w.put_bool(*a_side);
-            }
-            PEv::ClientTick => w.put_u8(3),
-        }
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        match r.get_u8() {
-            0 => PEv::Hop {
-                conn: r.get_usize(),
-                to_a: r.get_bool(),
-                seg: Snap::unsnap(r),
-            },
-            1 => PEv::Deliver {
-                conn: r.get_usize(),
-                to_a: r.get_bool(),
-                seg: Snap::unsnap(r),
-            },
-            2 => PEv::Timer {
-                conn: r.get_usize(),
-                a_side: r.get_bool(),
-            },
-            3 => PEv::ClientTick,
-            t => panic!("snapshot: unknown packet event tag {t}"),
-        }
-    }
-}
+snap_enum!(PEv {
+    0 => Hop { conn, to_a, seg },
+    1 => Deliver { conn, to_a, seg },
+    2 => Timer { conn, a_side },
+    3 => ClientTick,
+});

@@ -844,32 +844,14 @@ impl RateEngine {
     /// save of the straight-run one.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.section("rate_engine");
-        self.caps.snap(w);
-        self.demands.snap(w);
-        self.present.snap(w);
-        self.rates.snap(w);
-        self.flows_on.snap(w);
-        self.dirty.snap(w);
-        self.dirty_flag.snap(w);
-        w.put_bool(self.all_dirty);
-        w.put_usize(self.n_present);
-        self.stats.snap(w);
+        self.save_fields(w);
     }
 
     /// Restores state captured by [`RateEngine::save_state`], keeping
     /// the live engine's `mode` and re-sizing scratch to match.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) {
         r.section("rate_engine");
-        self.caps = Snap::unsnap(r);
-        self.demands = Snap::unsnap(r);
-        self.present = Snap::unsnap(r);
-        self.rates = Snap::unsnap(r);
-        self.flows_on = Snap::unsnap(r);
-        self.dirty = Snap::unsnap(r);
-        self.dirty_flag = Snap::unsnap(r);
-        self.all_dirty = r.get_bool();
-        self.n_present = r.get_usize();
-        self.stats = Snap::unsnap(r);
+        self.restore_fields(r);
         self.kernel = Kernel::default();
         self.kernel.ensure_resources(self.caps.len());
         self.visit_res.clear();
@@ -883,45 +865,36 @@ impl RateEngine {
         #[cfg(debug_assertions)]
         self.verify_rates.clear();
     }
+
+    snap_in_place!(fn save_fields / restore_fields {
+        caps,
+        demands,
+        present,
+        rates,
+        flows_on,
+        dirty,
+        dirty_flag,
+        all_dirty,
+        n_present,
+        stats,
+    });
 }
 
-use simnet::snapshot::{Snap, SnapReader, SnapWriter};
+use simnet::snapshot::{snap_in_place, snap_struct, SnapReader, SnapWriter};
 
-impl Snap for FlowDemand {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_usize(self.r1);
-        self.r2.snap(w);
-        self.r3.snap(w);
-    }
+snap_struct!(FlowDemand {
+    r1,
+    r2,
+    r3,
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        FlowDemand {
-            r1: r.get_usize(),
-            r2: Snap::unsnap(r),
-            r3: Snap::unsnap(r),
-        }
-    }
-}
-
-impl Snap for SolverStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.full_solves);
-        w.put_u64(self.incremental_solves);
-        w.put_u64(self.class_solves);
-        w.put_u64(self.resources_touched);
-        w.put_u64(self.flows_touched);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        SolverStats {
-            full_solves: r.get_u64(),
-            incremental_solves: r.get_u64(),
-            class_solves: r.get_u64(),
-            resources_touched: r.get_u64(),
-            flows_touched: r.get_u64(),
-        }
-    }
-}
+snap_struct!(SolverStats {
+    full_solves,
+    incremental_solves,
+    class_solves,
+    resources_touched,
+    flows_touched,
+});
 
 #[cfg(test)]
 mod tests {

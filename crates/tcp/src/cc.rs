@@ -165,30 +165,16 @@ impl Congestion {
     }
 }
 
-impl simnet::snapshot::Snap for Congestion {
-    fn snap(&self, w: &mut simnet::snapshot::SnapWriter) {
-        w.put_u32(self.mss);
-        w.put_u32(self.cwnd);
-        w.put_u32(self.ssthresh);
-        w.put_u32(self.dupacks);
-        self.recover.snap(w);
-        w.put_u64(self.avoid_acc);
-        w.put_u64(self.fast_retransmits);
-        w.put_u64(self.timeouts);
-    }
-    fn unsnap(r: &mut simnet::snapshot::SnapReader<'_>) -> Self {
-        Congestion {
-            mss: r.get_u32(),
-            cwnd: r.get_u32(),
-            ssthresh: r.get_u32(),
-            dupacks: r.get_u32(),
-            recover: simnet::snapshot::Snap::unsnap(r),
-            avoid_acc: r.get_u64(),
-            fast_retransmits: r.get_u64(),
-            timeouts: r.get_u64(),
-        }
-    }
-}
+simnet::snap_struct!(Congestion {
+    mss,
+    cwnd,
+    ssthresh,
+    dupacks,
+    recover,
+    avoid_acc,
+    fast_retransmits,
+    timeouts,
+});
 
 #[cfg(test)]
 mod tests {

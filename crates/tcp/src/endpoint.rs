@@ -754,137 +754,65 @@ impl Endpoint {
 // restored endpoint gets them re-wired via `attach_metrics` by whoever
 // rebuilt the world. Everything else is value state.
 
-use simnet::snapshot::{Snap, SnapReader, SnapWriter};
+use simnet::snapshot::{snap_enum, snap_struct};
 
-impl Snap for TcpConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.mss);
-        w.put_u32(self.init_cwnd_segs);
-        w.put_u32(self.recv_window);
-        w.put_bool(self.delayed_ack);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        TcpConfig {
-            mss: r.get_u32(),
-            init_cwnd_segs: r.get_u32(),
-            recv_window: r.get_u32(),
-            delayed_ack: r.get_bool(),
-        }
-    }
-}
+snap_struct!(TcpConfig {
+    mss,
+    init_cwnd_segs,
+    recv_window,
+    delayed_ack,
+});
 
-impl Snap for TcpState {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            TcpState::Closed => 0,
-            TcpState::Listen => 1,
-            TcpState::SynSent => 2,
-            TcpState::SynRcvd => 3,
-            TcpState::Established => 4,
-            TcpState::FinWait => 5,
-            TcpState::CloseWait => 6,
-            TcpState::Closing => 7,
-        });
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        match r.get_u8() {
-            0 => TcpState::Closed,
-            1 => TcpState::Listen,
-            2 => TcpState::SynSent,
-            3 => TcpState::SynRcvd,
-            4 => TcpState::Established,
-            5 => TcpState::FinWait,
-            6 => TcpState::CloseWait,
-            7 => TcpState::Closing,
-            t => panic!("snapshot: bad TcpState tag {t}"),
-        }
-    }
-}
+snap_enum!(TcpState {
+    0 => Closed,
+    1 => Listen,
+    2 => SynSent,
+    3 => SynRcvd,
+    4 => Established,
+    5 => FinWait,
+    6 => CloseWait,
+    7 => Closing,
+});
 
-impl Snap for TcpStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.data_segments_sent);
-        w.put_u64(self.pure_acks_sent);
-        w.put_u64(self.piggybacked_acks_sent);
-        w.put_u64(self.dupacks_sent);
-        w.put_u64(self.retransmissions);
-        w.put_u64(self.bytes_acked);
-        w.put_u64(self.segments_received);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        TcpStats {
-            data_segments_sent: r.get_u64(),
-            pure_acks_sent: r.get_u64(),
-            piggybacked_acks_sent: r.get_u64(),
-            dupacks_sent: r.get_u64(),
-            retransmissions: r.get_u64(),
-            bytes_acked: r.get_u64(),
-            segments_received: r.get_u64(),
-        }
-    }
-}
+snap_struct!(TcpStats {
+    data_segments_sent,
+    pure_acks_sent,
+    piggybacked_acks_sent,
+    dupacks_sent,
+    retransmissions,
+    bytes_acked,
+    segments_received,
+});
 
-impl Snap for Endpoint {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.config.snap(w);
-        self.state.snap(w);
-        self.iss.snap(w);
-        self.snd_una.snap(w);
-        self.snd_nxt.snap(w);
-        w.put_u64(self.snd_buffered);
-        w.put_u64(self.written_total);
-        self.cc.snap(w);
-        self.rtt.snap(w);
-        w.put_u32(self.peer_window);
-        self.rtt_probe.snap(w);
-        self.rtx_deadline.snap(w);
-        w.put_bool(self.retransmit_pending);
-        w.put_bool(self.fin_queued);
-        self.fin_seq.snap(w);
-        w.put_bool(self.syn_emitted);
-        w.put_bool(self.handshake_rtx);
-        self.reasm.snap(w);
-        w.put_bool(self.ack_pending);
-        w.put_u32(self.dupacks_pending);
-        w.put_u32(self.unacked_segments);
-        self.ack_deadline.snap(w);
-        w.put_bool(self.fin_received);
-        w.put_u64(self.delivered_unread);
-        w.put_bool(self.eof_signalled);
-        self.stats.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Self {
-        Endpoint {
-            config: Snap::unsnap(r),
-            state: Snap::unsnap(r),
-            iss: Snap::unsnap(r),
-            snd_una: Snap::unsnap(r),
-            snd_nxt: Snap::unsnap(r),
-            snd_buffered: r.get_u64(),
-            written_total: r.get_u64(),
-            cc: Snap::unsnap(r),
-            rtt: Snap::unsnap(r),
-            peer_window: r.get_u32(),
-            rtt_probe: Snap::unsnap(r),
-            rtx_deadline: Snap::unsnap(r),
-            retransmit_pending: r.get_bool(),
-            fin_queued: r.get_bool(),
-            fin_seq: Snap::unsnap(r),
-            syn_emitted: r.get_bool(),
-            handshake_rtx: r.get_bool(),
-            reasm: Snap::unsnap(r),
-            ack_pending: r.get_bool(),
-            dupacks_pending: r.get_u32(),
-            unacked_segments: r.get_u32(),
-            ack_deadline: Snap::unsnap(r),
-            fin_received: r.get_bool(),
-            delivered_unread: r.get_u64(),
-            eof_signalled: r.get_bool(),
-            stats: Snap::unsnap(r),
-            metrics: EndpointMetrics::default(),
-        }
-    }
-}
+snap_struct!(Endpoint {
+    config,
+    state,
+    iss,
+    snd_una,
+    snd_nxt,
+    snd_buffered,
+    written_total,
+    cc,
+    rtt,
+    peer_window,
+    rtt_probe,
+    rtx_deadline,
+    retransmit_pending,
+    fin_queued,
+    fin_seq,
+    syn_emitted,
+    handshake_rtx,
+    reasm,
+    ack_pending,
+    dupacks_pending,
+    unacked_segments,
+    ack_deadline,
+    fin_received,
+    delivered_unread,
+    eof_signalled,
+    stats;
+    metrics,
+});
 
 #[cfg(test)]
 mod tests {

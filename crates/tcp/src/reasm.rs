@@ -158,22 +158,12 @@ impl Reassembly {
     }
 }
 
-impl simnet::snapshot::Snap for Reassembly {
-    fn snap(&self, w: &mut simnet::snapshot::SnapWriter) {
-        self.rcv_nxt.snap(w);
-        w.put_u64(self.nxt_offset);
-        self.ooo.snap(w);
-        w.put_u64(self.delivered_total);
-    }
-    fn unsnap(r: &mut simnet::snapshot::SnapReader<'_>) -> Self {
-        Reassembly {
-            rcv_nxt: simnet::snapshot::Snap::unsnap(r),
-            nxt_offset: r.get_u64(),
-            ooo: simnet::snapshot::Snap::unsnap(r),
-            delivered_total: r.get_u64(),
-        }
-    }
-}
+simnet::snap_struct!(Reassembly {
+    rcv_nxt,
+    nxt_offset,
+    ooo,
+    delivered_total,
+});
 
 #[cfg(test)]
 mod tests {

@@ -91,26 +91,14 @@ impl RttEstimator {
     }
 }
 
-impl simnet::snapshot::Snap for RttEstimator {
-    fn snap(&self, w: &mut simnet::snapshot::SnapWriter) {
-        self.srtt.snap(w);
-        self.rttvar.snap(w);
-        self.rto.snap(w);
-        self.min_rto.snap(w);
-        self.max_rto.snap(w);
-        w.put_u32(self.backoff);
-    }
-    fn unsnap(r: &mut simnet::snapshot::SnapReader<'_>) -> Self {
-        RttEstimator {
-            srtt: simnet::snapshot::Snap::unsnap(r),
-            rttvar: simnet::snapshot::Snap::unsnap(r),
-            rto: simnet::snapshot::Snap::unsnap(r),
-            min_rto: simnet::snapshot::Snap::unsnap(r),
-            max_rto: simnet::snapshot::Snap::unsnap(r),
-            backoff: r.get_u32(),
-        }
-    }
-}
+simnet::snap_struct!(RttEstimator {
+    srtt,
+    rttvar,
+    rto,
+    min_rto,
+    max_rto,
+    backoff,
+});
 
 #[cfg(test)]
 mod tests {

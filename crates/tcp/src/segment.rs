@@ -118,24 +118,13 @@ impl simnet::snapshot::Snap for SegFlags {
     }
 }
 
-impl simnet::snapshot::Snap for Segment {
-    fn snap(&self, w: &mut simnet::snapshot::SnapWriter) {
-        self.seq.snap(w);
-        self.ack.snap(w);
-        self.flags.snap(w);
-        w.put_u32(self.payload);
-        w.put_u32(self.window);
-    }
-    fn unsnap(r: &mut simnet::snapshot::SnapReader<'_>) -> Self {
-        Segment {
-            seq: simnet::snapshot::Snap::unsnap(r),
-            ack: simnet::snapshot::Snap::unsnap(r),
-            flags: simnet::snapshot::Snap::unsnap(r),
-            payload: r.get_u32(),
-            window: r.get_u32(),
-        }
-    }
-}
+simnet::snap_struct!(Segment {
+    seq,
+    ack,
+    flags,
+    payload,
+    window,
+});
 
 #[cfg(test)]
 mod tests {

@@ -561,3 +561,84 @@ fn packet_random_snapshot_points() {
         );
     }
 }
+
+// ----------------------------------------------------------------------
+// Format pin
+// ----------------------------------------------------------------------
+
+/// The blob bytes themselves are pinned. The differential tests above
+/// compare blobs written by the same code, so a field order change that
+/// writer and reader share passes them all; this test does not. Debug
+/// blobs also carry the debug-only invariant checker's history, so each
+/// build profile has its own constants.
+#[test]
+fn blob_bytes_are_pinned() {
+    use bittorrent::sha1::Sha1;
+
+    fn mid_blackout(seed: u64, start: u64, duration: u64) -> FaultPlan {
+        let mut plan = FaultPlan::empty(seed);
+        plan.push(
+            at(start),
+            FaultKind::TrackerOutage {
+                duration: secs(duration),
+            },
+        );
+        plan
+    }
+    let flow_blob = |mut w: FlowWorld, t: SimTime| {
+        w.run_until(t, |_| {});
+        w.save()
+    };
+    let packet_blob = |mut w: PacketWorld, t: SimTime| {
+        w.run_until(t, |_| {});
+        w.save()
+    };
+    let blobs = [
+        ("fig3b_world(31) @ 35 s", flow_blob(fig3b_world(31), at(35))),
+        (
+            "pex_world(17) @ 100 s",
+            flow_blob(pex_world(17, &mid_blackout(17, 15, 300)), at(100)),
+        ),
+        (
+            "packet_raw_world(5) @ 2.517 s",
+            packet_blob(packet_raw_world(5), SimTime::from_millis(2_517)),
+        ),
+        ("packet_overlay_world(21, pexed) @ 80 s", {
+            let mut w = packet_overlay_world(21, pexed);
+            w.set_fault_plan(&mid_blackout(6, 1, 200));
+            packet_blob(w, at(80))
+        }),
+    ];
+    let pinned: [(usize, &str); 4] = if cfg!(debug_assertions) {
+        [
+            (19630, "292dbdb1a32fde941dcd03d83d3e0ffce3d8a691"),
+            (24831, "7df75e04606bf1cf7c95eefe1155d0def3b203e5"),
+            (10120, "3cd4e2fc08fd874192d94cf9464ccfd497231e76"),
+            (10816, "867d159068def4b7bc581f26ad0174a4da4af597"),
+        ]
+    } else {
+        [
+            (19246, "255919a04c8be622b2a8f98adb1d26476665fde2"),
+            (24447, "89e288eb93ff5863f0d5d5758ba48724412c0bfb"),
+            (10076, "ebca80c2ea8797e52b1584ce0bee1737644eec89"),
+            (10644, "8f90f6fa38d5fd58bdc4b79be5d2fb2fa4e521dd"),
+        ]
+    };
+    let got: Vec<(usize, String)> = blobs
+        .iter()
+        .map(|(_, blob)| (blob.len(), Sha1::digest(blob).to_string()))
+        .collect();
+    for ((name, _), (len, digest)) in blobs.iter().zip(&got) {
+        eprintln!("{name}: ({len}, \"{digest}\"),");
+    }
+    for ((name, _), ((len, digest), (want_len, want_digest))) in
+        blobs.iter().zip(got.iter().zip(pinned))
+    {
+        assert!(
+            (*len, digest.as_str()) == (want_len, want_digest),
+            "{name}: blob is {len} bytes with sha1 {digest}, pinned {want_len} bytes with \
+             sha1 {want_digest}. A changed digest is a snapshot format change: bump \
+             FORMAT_VERSION and re-pin."
+        );
+    }
+}
