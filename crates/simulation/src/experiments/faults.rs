@@ -2,16 +2,17 @@
 //!
 //! Not a paper figure: a debugging and robustness harness. Given a seed,
 //! it generates a deterministic [`FaultPlan`], replays it into a small
-//! flow-world swarm *and* a packet-world transfer, and runs the full
-//! [`InvariantChecker`] explicitly (release builds included). The same
+//! flow-world swarm *and* a packet-world transfer, and arms both worlds'
+//! own [`InvariantChecker`] (release builds included). The same
 //! seed always produces byte-identical fault schedules and world traces,
 //! so a failing seed found in CI can be replayed locally unchanged.
+//!
+//! [`InvariantChecker`]: crate::invariants::InvariantChecker
 
 use crate::experiments::common::{populate_swarm, synthetic_torrent, SwarmSetup, PIECE_LENGTH};
 use crate::experiments::params::ExperimentParams;
 use crate::experiments::registry::Report;
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec};
-use crate::invariants::InvariantChecker;
 use crate::packet::{PacketConfig, PacketWorld};
 use crate::report::Table;
 use metrics::handle::MetricsHandle;
@@ -64,15 +65,15 @@ pub fn replay_flow_with(seed: u64, horizon: SimDuration, handle: &MetricsHandle)
     cfg.crashes = true;
     let plan = FaultPlan::generate(seed, &cfg);
     w.set_fault_plan(&plan);
-    let mut ck = InvariantChecker::new();
+    w.arm_invariants();
 
     w.start();
-    w.run_until(SimTime::ZERO + horizon, |w| ck.check_flow(w));
+    w.run_until(SimTime::ZERO + horizon, |_| {});
     FlowReplay {
         schedule: plan.render(),
         trace: w.trace().render(),
         applied: w.faults_applied(),
-        checks: ck.checks(),
+        checks: w.invariant_checks(),
         progress: tasks.iter().map(|&t| w.progress_fraction(t)).collect(),
     }
 }
@@ -120,13 +121,13 @@ pub fn replay_packet(seed: u64, horizon: SimDuration) -> PacketReplay {
     cfg.crashes = false;
     let plan = FaultPlan::generate(seed, &cfg);
     w.set_fault_plan(&plan);
-    let mut ck = InvariantChecker::new();
+    w.arm_invariants();
 
-    w.run_until(SimTime::ZERO + horizon, |w| ck.check_packet(w));
+    w.run_until(SimTime::ZERO + horizon, |_| {});
     PacketReplay {
         schedule: plan.render(),
         applied: w.faults_applied(),
-        checks: ck.checks(),
+        checks: w.invariant_checks(),
         delivered: w.tcp_delivered(conn, false),
     }
 }

@@ -562,7 +562,13 @@ fn differential(
 /// and mid-fault swarm) and reports blob sizes and byte-identity — the
 /// one-command check CI runs on every push.
 pub fn snapshot_selfcheck(seed: u64, metrics: &MetricsHandle) -> Vec<SnapshotCheck> {
-    let build = || diagnostic_world(seed, 16 * 1024 * 1024);
+    // Armed, because the table prints blob bytes: an armed world's blob
+    // is the same in every build profile.
+    let build = || {
+        let mut w = diagnostic_world(seed, 16 * 1024 * 1024);
+        w.arm_invariants();
+        w
+    };
     let t2 = SimTime::from_secs(90);
     let calm = differential("calm-swarm", &build, SimTime::from_secs(30), t2);
     metrics.gauge("snapshot.bytes").set(calm.bytes as f64);
@@ -618,9 +624,12 @@ pub const BISECT_SEED: u64 = 7;
 pub const SEARCH_SEED: u64 = 42;
 
 /// The diagnostic swarm at the size the `snapshot` and `bisect` entries
-/// run it.
+/// run it, armed like [`snapshot_selfcheck`]'s: both entries print blob
+/// bytes.
 fn entry_world(seed: u64) -> FlowWorld {
-    diagnostic_world(seed, 32 * 1024 * 1024)
+    let mut w = diagnostic_world(seed, 32 * 1024 * 1024);
+    w.arm_invariants();
+    w
 }
 
 /// A generated plan over the diagnostic swarm's four nodes.

@@ -10,16 +10,17 @@
 //! measures *time to recover*: how long until every alive, incomplete
 //! leech makes fresh piece progress again. A window that never recovers
 //! within the budget panics the run — liveness is asserted, not
-//! reported. The full [`InvariantChecker`] runs throughout, and every
-//! observable (schedules, recovery times, final progress) is a pure
-//! function of the seed, so a failing seed replays byte-identically.
+//! reported. The world's own [`InvariantChecker`] is armed and checks
+//! every tick, and every observable (schedules, recovery times, final
+//! progress) is a pure function of the seed, so a failing seed replays
+//! byte-identically.
 //!
 //! [`ResilienceConfig::armed`]: bittorrent::lifecycle::ResilienceConfig::armed
+//! [`InvariantChecker`]: crate::invariants::InvariantChecker
 
 use super::common::{synthetic_torrent, PIECE_LENGTH};
 use crate::flow::{Access, FlowConfig, FlowWorld, TaskKey, TaskSpec};
 use crate::harness::SweepRunner;
-use crate::invariants::InvariantChecker;
 use crate::report::{pct, Table};
 use bittorrent::client::ClientConfig;
 use bittorrent::lifecycle::ResilienceConfig;
@@ -384,26 +385,16 @@ pub fn run_soak_scenario(
     ends.dedup();
 
     w.set_fault_plan(&plan);
-    let mut ck = InvariantChecker::new();
+    w.arm_invariants();
     w.start();
-
-    // The world applies the plan on every tick (fault times are exact);
-    // the full invariant pass is throttled to once per virtual second.
-    let mut next_check = SimTime::ZERO;
-    let mut drive = |w: &mut FlowWorld| {
-        if w.now() >= next_check {
-            ck.check_flow(w);
-            next_check = w.now() + SimDuration::from_secs(1);
-        }
-    };
 
     let mut time_to_recover = Vec::with_capacity(ends.len());
     for (i, &end) in ends.iter().enumerate() {
-        w.run_driven_until(end, &mut drive, |_| false);
+        w.run_until(end, |_| {});
         let base: Vec<f64> = leeches.iter().map(|&t| w.progress_fraction(t)).collect();
         let deadline = end + params.recovery_timeout;
         let recovered = healed(&w, &leeches, &base)
-            || w.run_driven_until(deadline, &mut drive, |w| healed(w, &leeches, &base));
+            || w.run_until_condition(deadline, |w| healed(w, &leeches, &base));
         assert!(
             recovered,
             "soak '{}' window {i} (closed {end}) did not recover within {}",
@@ -412,12 +403,12 @@ pub fn run_soak_scenario(
         time_to_recover.push(w.now().saturating_since(end).as_secs_f64());
     }
     let drain = w.now() + params.tail;
-    w.run_driven_until(drain, &mut drive, |_| false);
+    w.run_until(drain, |_| {});
 
     SoakOutcome {
         schedule: plan.render(),
         applied: w.faults_applied(),
-        checks: ck.checks(),
+        checks: w.invariant_checks(),
         time_to_recover,
         progress: leeches.iter().map(|&t| w.progress_fraction(t)).collect(),
     }

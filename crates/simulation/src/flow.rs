@@ -25,6 +25,7 @@
 //!   after a hand-off). Age-based Manipulation is packet-level and lives
 //!   in the packet world instead.
 
+use crate::invariants::{InvariantChecker, ARMED_BY_DEFAULT};
 use crate::rates::{FlowDemand, RateEngine, SolverStats};
 use bittorrent::client::{Action, Client, ClientConfig, ClientStats};
 use bittorrent::metainfo::{InfoHash, Metainfo};
@@ -567,8 +568,11 @@ pub struct FlowWorld {
     /// The installed fault plan, polled every tick (see
     /// [`FlowWorld::set_fault_plan`]).
     faults: FaultInjector,
-    /// Every-tick invariant checker (runs in debug/test builds).
-    checker: crate::invariants::InvariantChecker,
+    /// The world's own invariant checker; its history rides in the blob.
+    checker: InvariantChecker,
+    /// Whether every tick ends with a check pass (see
+    /// [`FlowWorld::arm_invariants`]). Configuration, not serialized.
+    invariants_armed: bool,
 }
 
 impl FlowWorld {
@@ -611,7 +615,8 @@ impl FlowWorld {
             lossy_factor: BTreeMap::new(),
             squeeze_factor: BTreeMap::new(),
             faults: FaultInjector::default(),
-            checker: crate::invariants::InvariantChecker::new(),
+            checker: InvariantChecker::new(),
+            invariants_armed: ARMED_BY_DEFAULT,
         }
     }
 
@@ -621,6 +626,14 @@ impl FlowWorld {
     /// so a restored world installs the saved world's plan first.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.faults = FaultInjector::new(plan);
+    }
+
+    /// Arms the world's own [`InvariantChecker`]: every later tick ends
+    /// with a full check pass, and a violation panics. Worlds start
+    /// armed in debug builds and unarmed in release. Like the config,
+    /// arming is not in the blob: a restore leaves it as set here.
+    pub fn arm_invariants(&mut self) {
+        self.invariants_armed = true;
     }
 
     /// Fault actions (window begins/ends) applied so far.
@@ -1184,27 +1197,6 @@ impl FlowWorld {
         fired
     }
 
-    /// [`Self::run_until_condition`] with a driver invoked on every tick
-    /// (after the tick's due fault actions): the driver may mutate the
-    /// world, the stop condition only reads. Terminates when the condition fires, the deadline passes,
-    /// or no events remain at or before it (so a deadline that falls
-    /// between ticks cannot spin). Returns `true` when the condition
-    /// fired.
-    pub fn run_driven_until(
-        &mut self,
-        deadline: SimTime,
-        mut drive: impl FnMut(&mut FlowWorld),
-        mut stop: impl FnMut(&FlowWorld) -> bool,
-    ) -> bool {
-        let mut fired = false;
-        while !fired && self.sim.peek_time().is_some_and(|t| t <= deadline) {
-            let next = self.now() + TICK;
-            self.run_until(next.min(deadline), &mut drive);
-            fired = stop(self);
-        }
-        fired
-    }
-
     fn do_tick(&mut self, now: SimTime) {
         // 1. Advance transfers and deliver completed messages.
         let elapsed = now.saturating_since(self.last_advance).as_secs_f64();
@@ -1262,38 +1254,42 @@ impl FlowWorld {
                     .record(now, self.utilization());
             }
         }
-        // 7. Invariants: in debug/test builds every tick is a checked
-        // state, so any test that runs this world is an invariant run.
-        #[cfg(debug_assertions)]
-        {
-            // Engine-registration invariant: a dead conn carries no
-            // engine demand, and a live direction with an empty queue
-            // carries none either (so it flows at rate zero by
-            // construction).
-            for s in 0..self.conns.slot_count() {
-                if !self.conns.live[s] {
-                    continue;
-                }
-                if self.conns.dead_since[s].is_some() {
-                    debug_assert!(
-                        !self.engine.has_flow(2 * s) && !self.engine.has_flow(2 * s + 1),
-                        "dead conn slot {s} still registered in the solver"
-                    );
-                    continue;
-                }
-                debug_assert!(
-                    !self.conns.ab[s].queue.is_empty() || !self.engine.has_flow(2 * s),
-                    "drained conn slot {s} dir ab still registered in the solver"
-                );
-                debug_assert!(
-                    !self.conns.ba[s].queue.is_empty() || !self.engine.has_flow(2 * s + 1),
-                    "drained conn slot {s} dir ba still registered in the solver"
-                );
-            }
-            let mut ck = std::mem::take(&mut self.checker);
-            ck.check_flow(self);
-            self.checker = ck;
+        // 7. Invariants: an armed world ends every tick in a checked
+        // state.
+        if self.invariants_armed {
+            self.check_invariants();
         }
+    }
+
+    /// One armed check pass: the engine-registration invariant, then the
+    /// world's [`InvariantChecker`]. Panics on violation.
+    fn check_invariants(&mut self) {
+        // A dead conn carries no engine demand, and a live direction
+        // with an empty queue carries none either (so it flows at rate
+        // zero by construction).
+        for s in 0..self.conns.slot_count() {
+            if !self.conns.live[s] {
+                continue;
+            }
+            if self.conns.dead_since[s].is_some() {
+                assert!(
+                    !self.engine.has_flow(2 * s) && !self.engine.has_flow(2 * s + 1),
+                    "dead conn slot {s} still registered in the solver"
+                );
+                continue;
+            }
+            assert!(
+                !self.conns.ab[s].queue.is_empty() || !self.engine.has_flow(2 * s),
+                "drained conn slot {s} dir ab still registered in the solver"
+            );
+            assert!(
+                !self.conns.ba[s].queue.is_empty() || !self.engine.has_flow(2 * s + 1),
+                "drained conn slot {s} dir ba still registered in the solver"
+            );
+        }
+        let mut ck = std::mem::take(&mut self.checker);
+        ck.check_flow(self);
+        self.checker = ck;
     }
 
     /// Allocated transfer rate as a fraction of the live access
@@ -1557,15 +1553,16 @@ impl FlowWorld {
                 }
             }
         }
-        // Nothing a handled action touched may be left with queued
-        // actions: every client call site must mark its task.
-        #[cfg(debug_assertions)]
-        for t in 0..self.tasks.len() {
-            if let Some(c) = self.tasks[t].client.as_mut() {
-                debug_assert!(
-                    c.poll_action().is_none(),
-                    "task {t} held unpumped actions: a call site forgot mark_pending"
-                );
+        // Armed: nothing a handled action touched may be left with
+        // queued actions, so every client call site must mark its task.
+        if self.invariants_armed {
+            for (t, task) in self.tasks.iter_mut().enumerate() {
+                if let Some(c) = task.client.as_mut() {
+                    assert!(
+                        c.poll_action().is_none(),
+                        "task {t} held unpumped actions: a call site forgot mark_pending"
+                    );
+                }
             }
         }
     }
@@ -2143,7 +2140,9 @@ impl FlowWorld {
         v
     }
 
-    /// Invariant passes run by the built-in debug-build checker.
+    /// Check passes the world's own checker has run: one per tick while
+    /// armed (see [`FlowWorld::arm_invariants`]), carried across
+    /// save/restore.
     pub fn invariant_checks(&self) -> u64 {
         self.checker.checks()
     }
@@ -2253,8 +2252,9 @@ impl FlowWorld {
     /// tokens), tracker, address book, nodes, every task (including the
     /// live client session), the connection arena, the rate engine's
     /// allocation state, all RNG streams, fault state, the invariant
-    /// checker's observation history, and — when metrics are enabled —
-    /// every registry instrument by name.
+    /// checker's observation history (empty unless the world was ever
+    /// armed), and — when metrics are enabled — every registry
+    /// instrument by name.
     ///
     /// Deliberately excluded: `FlowConfig` and the task specs (the
     /// `make_config` closures and picker choices are code, not state) —

@@ -21,16 +21,28 @@
 //!    peer-id across every hand-off (the credit it earned stays
 //!    addressed to it — the paper's §3.4 mechanism).
 //!
-//! Both worlds run these checks automatically on every tick in debug
-//! and test builds (a violation panics, so every tier-1 integration
-//! test doubles as an invariant run); explicit use is
-//! `checker.check_flow(&world)` from a `run_until` callback.
+//! Each world owns one checker and runs it itself once armed: a flow
+//! world after every tick, a packet world after every event. A world is
+//! armed by `arm_invariants()` ([`FlowWorld::arm_invariants`],
+//! [`PacketWorld::arm_invariants`]) in any build profile, and starts
+//! armed in debug builds (`ARMED_BY_DEFAULT`), so every debug test
+//! that runs a world is an invariant run. A violation panics;
+//! `invariant_checks()` counts the passes. The checker's observation
+//! history rides in the world's snapshot blob, so an armed run writes
+//! the same bytes in every profile. [`InvariantChecker::new`] and the
+//! `check_*` passes stay public for one-off passes outside a run loop,
+//! such as timing a pass.
 
 use crate::flow::FlowWorld;
 use crate::packet::PacketWorld;
 use bittorrent::peer_id::PeerId;
 use sim_tcp::seq::SeqNum;
 use std::collections::BTreeMap;
+
+/// Whether a newly built world is armed before any `arm_invariants()`
+/// call: armed in debug builds, unarmed in release. The one place the
+/// build profile reaches the checker.
+pub(crate) const ARMED_BY_DEFAULT: bool = cfg!(debug_assertions);
 
 /// Per-task snapshot used for monotonicity checks.
 #[derive(Clone, Debug)]
@@ -89,6 +101,12 @@ impl InvariantChecker {
         );
         // 2/5. Per-task bitfield monotonicity and identity/credit checks.
         for t in 0..w.task_count() {
+            // A task is observed from its client's first spawn on (the
+            // spawn assigns its identity): the spawn grants the task's
+            // `start_fraction` pieces without delivering a byte.
+            if w.task_identity(t).is_none() {
+                continue;
+            }
             self.check_task_progress(t, w);
             if w.task_retains_identity(t) {
                 if let Some(id) = w.task_identity(t) {
@@ -294,7 +312,6 @@ snap_struct!(#[section = "invariants"] InvariantChecker {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::flow::{Access, FlowConfig, FlowWorld, TaskSpec, TorrentSpec};
     use bittorrent::metainfo::Metainfo;
     use simnet::time::SimTime;
@@ -304,28 +321,54 @@ mod tests {
         let meta = Metainfo::synthetic("inv.bin", "tr", 64 * 1024, 512 * 1024, 9);
         let torrent = TorrentSpec::from_metainfo(&meta, 64 * 1024);
         let mut w = FlowWorld::new(FlowConfig::default(), 11);
+        w.arm_invariants();
         let a = w.add_node(Access::campus());
         let b = w.add_node(Access::residential());
         w.add_task(TaskSpec::default_client(a, torrent, true));
         let leech = w.add_task(TaskSpec::default_client(b, torrent, false));
         w.start();
-        let mut ck = InvariantChecker::new();
-        w.run_until(SimTime::from_secs(120), |w| ck.check_flow(w));
+        let mut ticks = 0u64;
+        w.run_until(SimTime::from_secs(120), |_| ticks += 1);
         assert_eq!(w.progress_fraction(leech), 1.0);
-        assert!(ck.checks() > 100, "checker barely ran: {}", ck.checks());
+        assert_eq!(w.invariant_checks(), ticks, "one check pass per tick");
+        assert!(ticks > 100, "checker barely ran: {ticks}");
     }
 
     #[test]
     fn clean_packet_run_has_zero_violations() {
         use crate::packet::{PacketConfig, PacketWorld};
         let mut w = PacketWorld::new(PacketConfig::default(), 5);
+        w.arm_invariants();
         let a = w.add_node(None);
         let b = w.add_node(Some(simnet::wireless::WirelessConfig::wlan_80211g()));
         let conn = w.open_tcp(a, b);
         w.tcp_write(conn, true, 500_000);
-        let mut ck = InvariantChecker::new();
-        w.run_until(SimTime::from_secs(30), |w| ck.check_packet(w));
+        let mut events = 0u64;
+        w.run_until(SimTime::from_secs(30), |_| events += 1);
         assert_eq!(w.tcp_delivered(conn, false), 500_000);
-        assert!(ck.checks() > 100, "checker barely ran: {}", ck.checks());
+        assert_eq!(w.invariant_checks(), events, "one check pass per event");
+        assert!(events > 100, "checker barely ran: {events}");
+    }
+
+    /// A leech that joins late with pre-seeded pieces: the spawn grants
+    /// them without a delivered byte, so the checker must not baseline
+    /// the task before its client exists.
+    #[test]
+    fn late_start_with_head_start_is_clean() {
+        let meta = Metainfo::synthetic("late.bin", "tr", 128 * 1024, 4 * 1024 * 1024, 3);
+        let torrent = TorrentSpec::from_metainfo(&meta, 128 * 1024);
+        let mut w = FlowWorld::new(FlowConfig::default(), 3);
+        w.arm_invariants();
+        let a = w.add_node(Access::campus());
+        let b = w.add_node(Access::residential());
+        w.add_task(TaskSpec::default_client(a, torrent, true));
+        let mut spec = TaskSpec::default_client(b, torrent, false);
+        spec.start_fraction = Some(0.1);
+        spec.start_at = SimTime::from_secs(3);
+        let leech = w.add_task(spec);
+        w.start();
+        w.run_until(SimTime::from_secs(120), |_| {});
+        assert_eq!(w.progress_fraction(leech), 1.0);
+        assert!(w.invariant_checks() > 100);
     }
 }

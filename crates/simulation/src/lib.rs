@@ -11,9 +11,9 @@
 //!   Figs. 2 and 8(a).
 //! * [`harness`] — the parallel deterministic sweep runner every
 //!   experiment driver fans its (point × run) cells through.
-//! * [`invariants`] — the swarm-wide invariant checker both worlds run
-//!   every tick in debug/test builds (conservation, monotonicity,
-//!   sequence-space and feasibility laws).
+//! * [`invariants`] — the swarm-wide invariant checker each world owns
+//!   and runs once armed (conservation, monotonicity, sequence-space and
+//!   feasibility laws); debug builds arm every world.
 //! * [`experiments`] — one driver per figure, each producing the same
 //!   series the paper plots.
 //! * [`report`] — plain-text table rendering for the experiment reports.

@@ -15,6 +15,7 @@
 //!   sessions whose wire messages are framed onto the TCP byte streams
 //!   (paper Fig. 8(a)).
 
+use crate::invariants::{InvariantChecker, ARMED_BY_DEFAULT};
 use bittorrent::client::{Action, Client, ClientConfig};
 use bittorrent::metainfo::InfoHash;
 use bittorrent::peer_id::{PeerId, PeerIdStyle};
@@ -150,7 +151,11 @@ pub struct PacketWorld {
     /// The installed fault plan, polled after every event (see
     /// [`PacketWorld::set_fault_plan`]).
     faults: FaultInjector,
-    checker: crate::invariants::InvariantChecker,
+    /// The world's own invariant checker; its history rides in the blob.
+    checker: InvariantChecker,
+    /// Whether every event ends with a check pass (see
+    /// [`PacketWorld::arm_invariants`]). Configuration, not serialized.
+    invariants_armed: bool,
     metrics: MetricsHandle,
     m_fault_events: Counter,
 }
@@ -176,7 +181,8 @@ impl PacketWorld {
             bw_baseline: BTreeMap::new(),
             tracker_down: false,
             faults: FaultInjector::default(),
-            checker: crate::invariants::InvariantChecker::new(),
+            checker: InvariantChecker::new(),
+            invariants_armed: ARMED_BY_DEFAULT,
             metrics: MetricsHandle::disabled(),
             m_fault_events: Counter::default(),
         }
@@ -188,6 +194,14 @@ impl PacketWorld {
     /// so a restored world installs the saved world's plan first.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.faults = FaultInjector::new(plan);
+    }
+
+    /// Arms the world's own [`InvariantChecker`]: every later event ends
+    /// with a full check pass, and a violation panics. Worlds start
+    /// armed in debug builds and unarmed in release. Like the config,
+    /// arming is not in the blob: a restore leaves it as set here.
+    pub fn arm_invariants(&mut self) {
+        self.invariants_armed = true;
     }
 
     /// Fault actions (window begins/ends) applied so far.
@@ -407,7 +421,9 @@ impl PacketWorld {
         self.tracker_down
     }
 
-    /// Invariant passes run by the built-in debug-build checker.
+    /// Check passes the world's own checker has run: one per event
+    /// while armed (see [`PacketWorld::arm_invariants`]), carried across
+    /// save/restore.
     pub fn invariant_checks(&self) -> u64 {
         self.checker.checks()
     }
@@ -933,8 +949,9 @@ impl PacketWorld {
     /// simulator (clock, queue, timer tokens), every node (wireless
     /// channel, AM config, client session), every live connection (both
     /// TCP endpoints, AM filters, framed message queues), tracker,
-    /// address book, RNG, fault state, the invariant checker's history,
-    /// and — when metrics are enabled — the registry by name.
+    /// address book, RNG, fault state, the invariant checker's history
+    /// (empty unless the world was ever armed), and — when metrics are
+    /// enabled — the registry by name.
     ///
     /// `PacketConfig` is deliberately excluded: [`PacketWorld::restore`]
     /// requires a world rebuilt by the same builder calls (`new` →
@@ -1023,8 +1040,6 @@ impl PacketWorld {
     /// Runs until `deadline`; `on_event` is invoked after every processed
     /// event (for experiment sampling).
     pub fn run_until(&mut self, deadline: SimTime, mut on_event: impl FnMut(&mut PacketWorld)) {
-        #[cfg(debug_assertions)]
-        let mut since_check = 0u32;
         while let Some(t) = self.sim.peek_time() {
             if t > deadline {
                 break;
@@ -1049,15 +1064,10 @@ impl PacketWorld {
             }
             self.poll_faults();
             on_event(self);
-            #[cfg(debug_assertions)]
-            {
-                since_check += 1;
-                if since_check >= 16 {
-                    since_check = 0;
-                    let mut ck = std::mem::take(&mut self.checker);
-                    ck.check_packet(self);
-                    self.checker = ck;
-                }
+            if self.invariants_armed {
+                let mut ck = std::mem::take(&mut self.checker);
+                ck.check_packet(self);
+                self.checker = ck;
             }
         }
     }

@@ -3,13 +3,14 @@
 //!
 //! Every scenario installs a seeded fault schedule on the world
 //! (`set_fault_plan`; the world applies it from its own run loop) and
-//! runs [`InvariantChecker`] on every tick — an invariant violation
-//! panics the test regardless of the scenario's own assertions. The
-//! fault-layer diagnostics (window bisection, warm-started fault arms,
-//! the snapshot self-check, the chaos soak's replay) follow, through
-//! the `experiments` API. The legacy mobility/parameter-change tests at
-//! the bottom predate the fault subsystem and stay as independent
-//! coverage.
+//! arms the world's own invariant checker (`arm_invariants`), which
+//! then checks every flow tick or packet event in any build profile —
+//! an invariant violation panics the test regardless of the scenario's
+//! own assertions. The fault-layer diagnostics (window bisection,
+//! warm-started fault arms, the snapshot self-check, the chaos soak's
+//! replay) follow, through the `experiments` API. The legacy
+//! mobility/parameter-change tests at the bottom predate the fault
+//! subsystem and stay as independent coverage.
 
 use bittorrent::client::ClientConfig;
 use bittorrent::metainfo::Metainfo;
@@ -21,7 +22,6 @@ use p2p_simulation::experiments::search::{
 };
 use p2p_simulation::experiments::soak::{run_soak_scenario, SoakParams, SCENARIOS};
 use p2p_simulation::flow::{Access, FlowConfig, FlowWorld, TaskKey, TaskSpec, TorrentSpec};
-use p2p_simulation::invariants::InvariantChecker;
 use p2p_simulation::packet::{PacketConfig, PacketWorld};
 use simnet::addr::NodeId;
 use simnet::fault::{FaultKind, FaultPlan};
@@ -57,13 +57,10 @@ fn run_flow_with_plan(
     mut probe: impl FnMut(&FlowWorld),
 ) -> usize {
     w.set_fault_plan(plan);
-    let mut ck = InvariantChecker::new();
+    w.arm_invariants();
     w.start();
-    w.run_until(deadline, |w| {
-        ck.check_flow(w);
-        probe(w);
-    });
-    assert!(ck.checks() > 0, "invariant checker never ran");
+    w.run_until(deadline, |w| probe(w));
+    assert!(w.invariant_checks() > 0, "invariant checker never ran");
     w.faults_applied()
 }
 
@@ -330,9 +327,9 @@ fn scenario_same_seed_is_byte_identical() {
 /// every event; returns the number of fault actions applied.
 fn run_packet_with_plan(w: &mut PacketWorld, plan: &FaultPlan, deadline: SimTime) -> usize {
     w.set_fault_plan(plan);
-    let mut ck = InvariantChecker::new();
-    w.run_until(deadline, |w| ck.check_packet(w));
-    assert!(ck.checks() > 0, "invariant checker never ran");
+    w.arm_invariants();
+    w.run_until(deadline, |_| {});
+    assert!(w.invariant_checks() > 0, "invariant checker never ran");
     w.faults_applied()
 }
 

@@ -4,13 +4,14 @@
 //! minus its one-line preamble and the blank line it prints after each
 //! entry.
 //!
-//! `soak`, `faults`, `search` and `fig8b` pin the fault layer and the
-//! Fig. 8(b) mobile probes, `exploit` the identity-retention probe.
-//! `snapshot` and `bisect` stay out: their reports print snapshot blob
-//! sizes, and a debug build's blobs also carry the debug-only invariant
-//! checker's history, so the sizes differ from the committed release
-//! output. `erosion`, `blackout` and `scale` stay out on cost: in a
-//! debug build they take about 8, 5 and 16 s, against under 2 s for
+//! `soak`, `faults`, `search`, `snapshot`, `bisect` and `fig8b` pin the
+//! fault layer, the snapshot diagnostics and the Fig. 8(b) mobile
+//! probes, `exploit` the identity-retention probe. `snapshot` and
+//! `bisect` print blob sizes; their worlds are armed, so the blobs carry
+//! the invariant checker's history in every build profile and the
+//! committed output holds in debug and release alike (CI runs this file
+//! in release too). `erosion`, `blackout` and `scale` stay out on cost:
+//! in a debug build they take about 8, 5 and 16 s, against under 2 s for
 //! each entry here. CI's `replay` job diffs all of them in release.
 
 use metrics::handle::MetricsHandle;
@@ -88,6 +89,16 @@ fn faults_matches_committed_results() {
 #[test]
 fn search_matches_committed_results() {
     assert_matches_committed("search");
+}
+
+#[test]
+fn snapshot_matches_committed_results() {
+    assert_matches_committed("snapshot");
+}
+
+#[test]
+fn bisect_matches_committed_results() {
+    assert_matches_committed("bisect");
 }
 
 #[test]

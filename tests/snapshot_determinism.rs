@@ -568,9 +568,9 @@ fn packet_random_snapshot_points() {
 
 /// The blob bytes themselves are pinned. The differential tests above
 /// compare blobs written by the same code, so a field order change that
-/// writer and reader share passes them all; this test does not. Debug
-/// blobs also carry the debug-only invariant checker's history, so each
-/// build profile has its own constants.
+/// writer and reader share passes them all; this test does not. Every
+/// world is armed, so its blob carries the invariant checker's history
+/// and the constants hold in every build profile.
 #[test]
 fn blob_bytes_are_pinned() {
     use bittorrent::sha1::Sha1;
@@ -586,10 +586,12 @@ fn blob_bytes_are_pinned() {
         plan
     }
     let flow_blob = |mut w: FlowWorld, t: SimTime| {
+        w.arm_invariants();
         w.run_until(t, |_| {});
         w.save()
     };
     let packet_blob = |mut w: PacketWorld, t: SimTime| {
+        w.arm_invariants();
         w.run_until(t, |_| {});
         w.save()
     };
@@ -609,21 +611,12 @@ fn blob_bytes_are_pinned() {
             packet_blob(w, at(80))
         }),
     ];
-    let pinned: [(usize, &str); 4] = if cfg!(debug_assertions) {
-        [
-            (19630, "292dbdb1a32fde941dcd03d83d3e0ffce3d8a691"),
-            (24831, "7df75e04606bf1cf7c95eefe1155d0def3b203e5"),
-            (10120, "3cd4e2fc08fd874192d94cf9464ccfd497231e76"),
-            (10816, "867d159068def4b7bc581f26ad0174a4da4af597"),
-        ]
-    } else {
-        [
-            (19246, "255919a04c8be622b2a8f98adb1d26476665fde2"),
-            (24447, "89e288eb93ff5863f0d5d5758ba48724412c0bfb"),
-            (10076, "ebca80c2ea8797e52b1584ce0bee1737644eec89"),
-            (10644, "8f90f6fa38d5fd58bdc4b79be5d2fb2fa4e521dd"),
-        ]
-    };
+    let pinned: [(usize, &str); 4] = [
+        (19630, "292dbdb1a32fde941dcd03d83d3e0ffce3d8a691"),
+        (24831, "7df75e04606bf1cf7c95eefe1155d0def3b203e5"),
+        (10120, "d957165847a5d3fe9bbbcff2cf794d8b7b7d6dff"),
+        (10816, "5a3a0b2dd20ece2217269dc22c581e9d7dd51772"),
+    ];
     let got: Vec<(usize, String)> = blobs
         .iter()
         .map(|(_, blob)| (blob.len(), Sha1::digest(blob).to_string()))
