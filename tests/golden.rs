@@ -12,7 +12,9 @@
 //! committed output holds in debug and release alike (CI runs this file
 //! in release too). `erosion`, `blackout` and `scale` stay out on cost:
 //! in a debug build they take about 8, 5 and 16 s, against under 2 s for
-//! each entry here. CI's `replay` job diffs all of them in release.
+//! each entry here. `service`, the one entry that drives shard routing,
+//! replica failover and a dark shard, is CI-only: it takes about 40 s
+//! even in release. CI's `replay` job diffs all of them in release.
 
 use metrics::handle::MetricsHandle;
 use p2p_simulation::experiments::registry;
