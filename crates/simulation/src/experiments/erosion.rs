@@ -347,6 +347,7 @@ mod tests {
             let plan = FaultPlan::generate(seed, &cfg);
             w.set_fault_plan(&plan);
             w.arm_invariants();
+            w.enable_trace();
             w.start();
             w.run_until(SimTime::ZERO + horizon, |_| {});
             let progress: Vec<f64> = tasks.iter().map(|&t| w.progress_fraction(t)).collect();
@@ -360,6 +361,7 @@ mod tests {
         let a = replay(0xE8_05FA);
         let b = replay(0xE8_05FA);
         assert_eq!(a.0, b.0, "fault schedule not deterministic");
+        assert!(!a.1.is_empty(), "mixed-population run recorded no trace");
         assert_eq!(a.1, b.1, "mixed-population world trace not deterministic");
         assert_eq!(a.2, b.2);
         assert_eq!(a.3, b.3);

@@ -52,6 +52,7 @@ pub fn replay_flow_with(seed: u64, horizon: SimDuration, handle: &MetricsHandle)
     let torrent = synthetic_torrent("faults.bin", PIECE_LENGTH, 4 * 1024 * 1024, seed);
     let mut w = FlowWorld::new(FlowConfig::default(), seed);
     w.set_metrics(handle);
+    w.enable_trace();
     let (_seeds, mut tasks) = populate_swarm(&mut w, torrent, &SwarmSetup::small());
     let mobile = w.add_node(Access::Wireless {
         capacity: 2_000_000.0 / 8.0,
@@ -181,6 +182,7 @@ mod tests {
         let a = replay_flow(7, SimDuration::from_secs(60));
         let b = replay_flow(7, SimDuration::from_secs(60));
         assert_eq!(a.schedule, b.schedule, "fault schedule not deterministic");
+        assert!(!a.trace.is_empty(), "replay recorded no trace");
         assert_eq!(a.trace, b.trace, "world trace not deterministic");
         assert_eq!(a.progress, b.progress);
         assert!(a.applied > 0, "plan applied no faults");
