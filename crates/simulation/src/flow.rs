@@ -24,17 +24,22 @@
 //!   override), and role reversal (re-dialling stored peers immediately
 //!   after a hand-off). Age-based Manipulation is packet-level and lives
 //!   in the packet world instead.
+//!
+//! This module is the flow transport: the connection arena, the rate
+//! engine, mobility, client (re)initiation and the event loop. The
+//! announce and tracker-outage policy, the fault cursor and the
+//! invariant checker are the client host both worlds share (the
+//! crate-private `host` module); this world only routes announces,
+//! adding latency, shards and replica failover.
 
-use crate::invariants::{InvariantChecker, ARMED_BY_DEFAULT};
+use crate::host::{Announcer, Oversight};
 use crate::rates::{FlowDemand, RateEngine, SolverStats};
 use bittorrent::client::{Action, Client, ClientConfig, ClientStats};
 use bittorrent::metainfo::{InfoHash, Metainfo};
 use bittorrent::peer_id::{PeerId, PeerIdStyle};
 use bittorrent::progress::TorrentProgress;
 use bittorrent::rate::RateEstimator;
-use bittorrent::tracker::{
-    AnnounceEvent, AnnounceRequest, AnnounceResponse, TrackerConfig, TrackerTier,
-};
+use bittorrent::tracker::{AnnounceEvent, TrackerConfig, TrackerTier};
 use bittorrent::wire::Message;
 use metrics::handle::MetricsHandle;
 use metrics::registry::{Counter, Histogram};
@@ -42,7 +47,7 @@ use metrics::stats::TimeSeries;
 use metrics::trace::{Trace, TraceKind};
 use simnet::addr::{AddressBook, NodeId, SimAddr};
 use simnet::event::{EventToken, QueueStats};
-use simnet::fault::{FaultHooks, FaultInjector, FaultPlan};
+use simnet::fault::{FaultHooks, FaultPlan};
 use simnet::hash::FastHashMap;
 use simnet::mobility::MobilityProcess;
 use simnet::rng::SimRng;
@@ -219,6 +224,19 @@ pub struct TaskSpec {
 }
 
 impl TaskSpec {
+    /// The client configuration of one (re)initiation: `make_config`'s,
+    /// with the picker and dialling the task's wP2P components demand.
+    fn client_config(&self) -> ClientConfig {
+        let mut config = (self.make_config)();
+        if let Some(schedule) = self.wp2p.mobility_fetching {
+            config.picker = Box::new(MobilityAwarePicker::new(schedule));
+        }
+        if self.wp2p.role_reversal {
+            config.dial_while_seeding = true;
+        }
+        config
+    }
+
     /// A plain default-client task.
     pub fn default_client(node: NodeKey, torrent: TorrentSpec, start_complete: bool) -> Self {
         TaskSpec {
@@ -254,16 +272,7 @@ struct TaskState {
     generation: u32,
     started: bool,
     completed_at: Option<SimTime>,
-    /// Consecutive failed announces (tracker outage). Indexes the
-    /// client's announce [`bittorrent::lifecycle::BackoffPolicy`]; reset
-    /// by the first successful announce.
-    announce_fails: u32,
-    /// The `min interval` of the last *served* announce. Outage-retry
-    /// responses are synthesized with this floor so a recovering shard
-    /// is never hammered faster than it ever allowed ([`SimDuration::ZERO`]
-    /// until the first real response, which the client maps back to its
-    /// default floor).
-    last_min_interval: SimDuration,
+    announcer: Announcer,
     /// Dial address book saved across re-initiation when the client runs
     /// PEX: the paper's knowledge-retention analogue. A moved host
     /// re-dials its old correspondents from its new address — the only
@@ -549,8 +558,6 @@ pub struct FlowWorld {
     /// [`FlowConfig::stall_timeout`]).
     stall_aborts: u64,
     // --- fault-injection state (see the `FaultHooks` impl) ---
-    /// Announces fail while set.
-    tracker_down: bool,
     /// Nodes whose traffic silently vanishes.
     blackholed: BTreeSet<NodeKey>,
     /// Pre-fault access of nodes with an active capacity modifier.
@@ -565,14 +572,8 @@ pub struct FlowWorld {
     lossy_factor: BTreeMap<NodeKey, f64>,
     /// Active bandwidth-squeeze factor per node.
     squeeze_factor: BTreeMap<NodeKey, f64>,
-    /// The installed fault plan, polled every tick (see
-    /// [`FlowWorld::set_fault_plan`]).
-    faults: FaultInjector,
-    /// The world's own invariant checker; its history rides in the blob.
-    checker: InvariantChecker,
-    /// Whether every tick ends with a check pass (see
-    /// [`FlowWorld::arm_invariants`]). Configuration, not serialized.
-    invariants_armed: bool,
+    /// Fault plan, tracker outage and invariant checker.
+    oversight: Oversight,
 }
 
 impl FlowWorld {
@@ -608,15 +609,12 @@ impl FlowWorld {
             rate_solves: 0,
             rate_skips: 0,
             stall_aborts: 0,
-            tracker_down: false,
             blackholed: BTreeSet::new(),
             access_baseline: BTreeMap::new(),
             node_upload_cap: BTreeMap::new(),
             lossy_factor: BTreeMap::new(),
             squeeze_factor: BTreeMap::new(),
-            faults: FaultInjector::default(),
-            checker: InvariantChecker::new(),
-            invariants_armed: ARMED_BY_DEFAULT,
+            oversight: Oversight::new(),
         }
     }
 
@@ -625,29 +623,22 @@ impl FlowWorld {
     /// `run_until` callback runs. A restore overwrites only the cursor,
     /// so a restored world installs the saved world's plan first.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        self.faults = FaultInjector::new(plan);
+        self.oversight.set_fault_plan(plan);
     }
 
-    /// Arms the world's own [`InvariantChecker`]: every later tick ends
-    /// with a full check pass, and a violation panics. Worlds start
-    /// armed in debug builds and unarmed in release. Like the config,
-    /// arming is not in the blob: a restore leaves it as set here.
+    /// Arms the world's own
+    /// [`InvariantChecker`](crate::invariants::InvariantChecker): every
+    /// later tick ends with a full check pass, and a violation panics.
+    /// Worlds start armed in debug builds and unarmed in release. Like
+    /// the config, arming is not in the blob: a restore leaves it as set
+    /// here.
     pub fn arm_invariants(&mut self) {
-        self.invariants_armed = true;
+        self.oversight.armed = true;
     }
 
     /// Fault actions (window begins/ends) applied so far.
     pub fn faults_applied(&self) -> usize {
-        self.faults.applied()
-    }
-
-    fn poll_faults(&mut self) {
-        let now = self.sim.now();
-        if self.faults.due(now) {
-            let mut faults = std::mem::take(&mut self.faults);
-            faults.poll(now, self);
-            self.faults = faults;
-        }
+        self.oversight.faults.applied()
     }
 
     /// Ticks whose rate problem changed and was re-solved.
@@ -784,8 +775,7 @@ impl FlowWorld {
             generation: 0,
             started: false,
             completed_at: None,
-            announce_fails: 0,
-            last_min_interval: SimDuration::ZERO,
+            announcer: Announcer::default(),
             saved_addrs: Vec::new(),
             conn_index: FastHashMap::default(),
             peer_bytes: FastHashMap::default(),
@@ -848,13 +838,7 @@ impl FlowWorld {
         let node = self.tasks[t].spec.node;
         let addr = self.nodes[node].addr;
         let task = &mut self.tasks[t];
-        let mut config = (task.spec.make_config)();
-        if let Some(schedule) = task.spec.wp2p.mobility_fetching {
-            config.picker = Box::new(MobilityAwarePicker::new(schedule));
-        }
-        if task.spec.wp2p.role_reversal {
-            config.dial_while_seeding = true;
-        }
+        let mut config = task.spec.client_config();
         // Strategy handoff hooks: the strategy sees every (re)initiation
         // (hybrids draw their per-generation degrade here, from the
         // task's seeded stream), and may then insist on a fresh peer-id
@@ -993,22 +977,12 @@ impl FlowWorld {
         }
     }
 
-    /// Stops a task for good (announces `Stopped`).
+    /// Stops a task for good, announcing `Stopped` when asked — routed
+    /// like any announce, so a tracker outage or dark shard loses it.
     pub fn stop_task(&mut self, t: TaskKey, announce: bool) {
         let now = self.sim.now();
         if announce {
-            if let Some(client) = &self.tasks[t].client {
-                let node = self.tasks[t].spec.node;
-                let mut rng = self.rng.fork(7777 + t as u64);
-                let req = AnnounceRequest {
-                    info_hash: client.info_hash(),
-                    peer_id: client.peer_id(),
-                    addr: self.nodes[node].addr,
-                    event: AnnounceEvent::Stopped,
-                    is_seed: client.is_seed(),
-                };
-                let _ = self.tracker.announce(&req, now, &mut rng);
-            }
+            self.announce(t, AnnounceEvent::Stopped, now);
         }
         self.kill_client(t, now);
         self.tasks[t].started = false;
@@ -1108,7 +1082,7 @@ impl FlowWorld {
                 Ev::Tick => {
                     self.do_tick(now);
                     self.sim.schedule_in(TICK, Ev::Tick);
-                    self.poll_faults();
+                    Oversight::poll(self, now, |w| &mut w.oversight);
                     on_tick(self);
                 }
                 Ev::Dial {
@@ -1256,7 +1230,7 @@ impl FlowWorld {
         }
         // 7. Invariants: an armed world ends every tick in a checked
         // state.
-        if self.invariants_armed {
+        if self.oversight.armed {
             self.check_invariants();
         }
     }
@@ -1287,9 +1261,9 @@ impl FlowWorld {
                 "drained conn slot {s} dir ba still registered in the solver"
             );
         }
-        let mut ck = std::mem::take(&mut self.checker);
+        let mut ck = std::mem::take(&mut self.oversight.checker);
         ck.check_flow(self);
-        self.checker = ck;
+        self.oversight.checker = ck;
     }
 
     /// Allocated transfer rate as a fraction of the live access
@@ -1555,7 +1529,7 @@ impl FlowWorld {
         }
         // Armed: nothing a handled action touched may be left with
         // queued actions, so every client call site must mark its task.
-        if self.invariants_armed {
+        if self.oversight.armed {
             for (t, task) in self.tasks.iter_mut().enumerate() {
                 if let Some(c) = task.client.as_mut() {
                     assert!(
@@ -1724,104 +1698,63 @@ impl FlowWorld {
     }
 
     fn tracker_reply(&mut self, t: TaskKey, generation: u32, event: AnnounceEvent, now: SimTime) {
-        if self.tasks[t].generation != generation {
-            return;
-        }
         let node = self.tasks[t].spec.node;
-        if !self.nodes[node].alive {
+        if self.tasks[t].generation != generation || !self.nodes[node].alive {
             return;
         }
-        let addr = self.nodes[node].addr;
-        let Some(client) = self.tasks[t].client.as_ref() else {
+        let Some(served) = self.announce(t, event, now) else {
             return;
         };
-        let ih = client.info_hash();
-        let pid = client.peer_id();
-        let seed = client.is_seed();
-        let announce_policy = client.resilience().announce;
-        let breaker_armed = client.resilience().breaker_threshold > 0;
-        // Degradation ladder rung 1: route to the primary shard, or —
-        // with replicas enabled — fail over to the swarm's deterministic
-        // secondary while the primary is down.
-        let routed = if self.tracker_down {
+        if event != AnnounceEvent::Stopped {
+            // Whatever the client queued is drained now after a served
+            // announce, at the next pump after a failed one.
+            self.mark_pending(t);
+            if served {
+                self.pump_actions(now);
+            }
+        }
+    }
+
+    /// Routes one announce of task `t`'s live client and traces it.
+    /// Degradation ladder rung 1: the swarm's primary shard, or — with
+    /// replicas enabled — its deterministic secondary while the primary
+    /// is down. While neither can answer, the announce times out:
+    /// nothing is registered, no peers are learned, and the client's
+    /// outage policy takes over; the rest of the tier keeps serving.
+    /// Returns whether a shard served it, or `None` without a client.
+    fn announce(&mut self, t: TaskKey, event: AnnounceEvent, now: SimTime) -> Option<bool> {
+        let addr = self.nodes[self.tasks[t].spec.node].addr;
+        let task = &mut self.tasks[t];
+        let client = task.client.as_mut()?;
+        let replicas = self.cfg.tracker_replicas;
+        let routed = if self.oversight.tracker_down {
             None
         } else {
-            self.tracker.route_for(ih, self.cfg.tracker_replicas)
+            self.tracker.route_for(client.info_hash(), replicas)
         };
-        let Some(shard) = routed else {
-            // The request times out: nothing is registered and no peers
-            // are learned. The retry interval follows the client's
-            // announce backoff policy — capped exponential per
-            // consecutive failure (the unarmed policy's first step is
-            // the legacy fixed 60 s). A shard outage reads the same to
-            // this swarm's peers; the rest of the tier keeps serving.
-            let cause = if self.tracker_down {
-                "tracker outage"
-            } else {
-                "tracker shard down"
-            };
-            self.note(
-                now,
-                TraceKind::Tracker,
-                format!("task {t} announce {event:?} failed: {cause}"),
-            );
-            if event != AnnounceEvent::Stopped {
-                let fails = self.tasks[t].announce_fails;
-                self.tasks[t].announce_fails = fails.saturating_add(1);
-                if breaker_armed {
-                    // Rung 1b: the client's circuit breaker owns retry
-                    // pacing — the backoff ladder up to the threshold,
-                    // then cooloff-spaced probes.
-                    if let Some(client) = self.tasks[t].client.as_mut() {
-                        client.on_announce_failed(now);
-                        self.mark_pending(t);
-                    }
-                } else {
-                    let mut rng = self.rng.fork(9100 + t as u64 + now.as_micros());
-                    let retry = AnnounceResponse {
-                        interval: announce_policy.delay(fails, &mut rng),
-                        min_interval: self.tasks[t].last_min_interval,
-                        peers: Vec::new(),
-                        complete: 0,
-                        incomplete: 0,
-                    };
-                    if let Some(client) = self.tasks[t].client.as_mut() {
-                        client.on_tracker_response(&retry, now);
-                        self.mark_pending(t);
-                    }
-                }
-            }
-            return;
-        };
-        self.tasks[t].announce_fails = 0;
-        let mut rng = self.rng.fork(9000 + t as u64 + now.as_micros());
-        let req = AnnounceRequest {
-            info_hash: ih,
-            peer_id: pid,
+        let tracker = &mut self.tracker;
+        let served = task.announcer.announce(
+            client,
             addr,
             event,
-            is_seed: seed,
-        };
-        let resp = self.tracker.announce_on(shard, &req, now, &mut rng);
-        // Remember the served floor (possibly shed-scaled) for outage
-        // retries.
-        self.tasks[t].last_min_interval = resp.min_interval;
-        self.note(
             now,
-            TraceKind::Tracker,
-            format!(
+            &self.rng,
+            (9000 + t as u64, 9100 + t as u64),
+            |req, rng| routed.map(|shard| tracker.announce_on(shard, req, now, rng)),
+        );
+        let message = match &served {
+            Some(resp) => format!(
                 "task {t} announce {event:?}: {} peers, {} seeds",
                 resp.peers.len(),
                 resp.complete
             ),
-        );
-        if event != AnnounceEvent::Stopped {
-            if let Some(client) = self.tasks[t].client.as_mut() {
-                client.on_tracker_response(&resp, now);
-                self.mark_pending(t);
+            None if self.oversight.tracker_down => {
+                format!("task {t} announce {event:?} failed: tracker outage")
             }
-            self.pump_actions(now);
-        }
+            None => format!("task {t} announce {event:?} failed: tracker shard down"),
+        };
+        self.note(now, TraceKind::Tracker, message);
+        Some(served.is_some())
     }
 
     fn handoff_start(&mut self, node: NodeKey, now: SimTime) {
@@ -1835,18 +1768,7 @@ impl FlowWorld {
         );
         self.m_handoffs.inc();
         self.handoff_down_since.insert(node, now);
-        // Every engine flow touching this node belongs to a connection
-        // of one of its tasks; `kill_client` below removes them all.
-        self.nodes[node].alive = false;
-        let tasks: Vec<TaskKey> = self
-            .node_tasks[node]
-            .iter()
-            .copied()
-            .filter(|&t| self.tasks[t].started)
-            .collect();
-        for t in tasks {
-            self.kill_client(t, now);
-        }
+        self.node_down(node, now);
     }
 
     fn handoff_end(&mut self, node: NodeKey, now: SimTime) {
@@ -1861,23 +1783,36 @@ impl FlowWorld {
                 .record(now.saturating_since(down_at).as_secs_f64());
         }
         self.nodes[node].addr = addr;
+        self.node_up(node, now);
+    }
+
+    /// Takes `node` off the network: every started task's client dies.
+    /// Every engine flow touching the node belongs to a connection of
+    /// one of its tasks, and `kill_client` removes them all.
+    fn node_down(&mut self, node: NodeKey, now: SimTime) {
+        self.nodes[node].alive = false;
+        for t in self.started_tasks(node) {
+            self.kill_client(t, now);
+        }
+    }
+
+    /// Brings `node` back and re-initiates every started task. A client
+    /// revived meanwhile (a fault restart before a scheduled hand-off
+    /// end) is killed first rather than leak its connection index.
+    fn node_up(&mut self, node: NodeKey, now: SimTime) {
         self.nodes[node].alive = true;
-        let tasks: Vec<TaskKey> = self
-            .node_tasks[node]
-            .iter()
-            .copied()
-            .filter(|&t| self.tasks[t].started)
-            .collect();
-        for t in tasks {
-            // A fault-injected restart may have revived the client before
-            // this scheduled hand-off end: re-initiate cleanly rather
-            // than leaking the old client's connection index entries.
+        for t in self.started_tasks(node) {
             if self.tasks[t].client.is_some() {
                 self.kill_client(t, now);
             }
             self.spawn_client(t, now);
         }
         self.pump_actions(now);
+    }
+
+    fn started_tasks(&self, node: NodeKey) -> Vec<TaskKey> {
+        let tasks = self.node_tasks[node].iter().copied();
+        tasks.filter(|&t| self.tasks[t].started).collect()
     }
 
     fn node_resources(&self, node: NodeKey) -> (usize, usize) {
@@ -2080,7 +2015,7 @@ impl FlowWorld {
 
     /// True while a fault-injected tracker outage is active.
     pub fn tracker_is_down(&self) -> bool {
-        self.tracker_down
+        self.oversight.tracker_down
     }
 
     /// Number of tracker shards in the world's tier.
@@ -2144,7 +2079,7 @@ impl FlowWorld {
     /// armed (see [`FlowWorld::arm_invariants`]), carried across
     /// save/restore.
     pub fn invariant_checks(&self) -> u64 {
-        self.checker.checks()
+        self.oversight.checker.checks()
     }
 
     /// Verifies the current rate allocation against every capacity it
@@ -2279,10 +2214,7 @@ impl FlowWorld {
         self.save_conns(&mut w);
         self.engine.save_state(&mut w);
         self.save_tail(&mut w);
-        self.faults.snap_cursor(&mut w);
-        self.checker.snap(&mut w);
-        self.metrics.snap_state(&mut w);
-        w.into_bytes()
+        self.oversight.save_tail(w, &self.metrics)
     }
 
     /// Restores state captured by [`FlowWorld::save`] into this world.
@@ -2317,10 +2249,7 @@ impl FlowWorld {
         let cap_base = self.cap_base;
         self.restore_tail(&mut r);
         assert_eq!(cap_base, self.cap_base, "snapshot node-layout mismatch");
-        self.faults.unsnap_cursor(&mut r);
-        self.checker = Snap::unsnap(&mut r);
-        self.metrics.restore_state(&mut r);
-        assert!(r.is_exhausted(), "snapshot has trailing bytes");
+        self.oversight.restore_tail(&mut r, &self.metrics);
     }
 
     snap_in_place!(fn save_head / restore_head {
@@ -2352,7 +2281,7 @@ impl FlowWorld {
         rate_solves,
         rate_skips,
         stall_aborts,
-        tracker_down,
+        oversight.tracker_down,
         blackholed,
         access_baseline,
         node_upload_cap,
@@ -2462,12 +2391,12 @@ impl FaultHooks for FlowWorld {
     }
 
     fn begin_tracker_outage(&mut self) {
-        self.tracker_down = true;
+        self.oversight.tracker_down = true;
         self.fault_note(self.sim.now(), "fault: tracker outage".to_string());
     }
 
     fn end_tracker_outage(&mut self) {
-        self.tracker_down = false;
+        self.oversight.tracker_down = false;
         self.fault_note(self.sim.now(), "fault: tracker back".to_string());
     }
 
@@ -2499,15 +2428,7 @@ impl FaultHooks for FlowWorld {
         }
         let now = self.sim.now();
         self.fault_note(now, format!("fault: node {n} crashed"));
-        self.nodes[n].alive = false;
-        let tasks: Vec<TaskKey> = self.node_tasks[n]
-            .iter()
-            .copied()
-            .filter(|&t| self.tasks[t].started)
-            .collect();
-        for t in tasks {
-            self.kill_client(t, now);
-        }
+        self.node_down(n, now);
     }
 
     fn restart_peer(&mut self, node: NodeId) {
@@ -2517,19 +2438,7 @@ impl FaultHooks for FlowWorld {
         }
         let now = self.sim.now();
         self.fault_note(now, format!("fault: node {n} restarted"));
-        self.nodes[n].alive = true;
-        let tasks: Vec<TaskKey> = self.node_tasks[n]
-            .iter()
-            .copied()
-            .filter(|&t| self.tasks[t].started)
-            .collect();
-        for t in tasks {
-            if self.tasks[t].client.is_some() {
-                self.kill_client(t, now);
-            }
-            self.spawn_client(t, now);
-        }
-        self.pump_actions(now);
+        self.node_up(n, now);
     }
 }
 
@@ -2539,7 +2448,7 @@ impl FaultHooks for FlowWorld {
 // tasks restore onto the spec the rebuilt world already carries).
 // ----------------------------------------------------------------------
 
-use simnet::snapshot::{snap_enum, snap_in_place, snap_struct, Snap, SnapReader, SnapWriter};
+use simnet::snapshot::{snap_enum, snap_in_place, snap_struct, SnapReader, SnapWriter};
 
 impl TaskState {
     fn save(&self, w: &mut SnapWriter) {
@@ -2558,17 +2467,10 @@ impl TaskState {
     /// instruments.
     fn restore(&mut self, t: TaskKey, addr: SimAddr, metrics: &MetricsHandle, r: &mut SnapReader<'_>) {
         self.client = if r.get_bool() {
-            let mut config = (self.spec.make_config)();
-            if let Some(schedule) = self.spec.wp2p.mobility_fetching {
-                config.picker = Box::new(MobilityAwarePicker::new(schedule));
-            }
-            if self.spec.wp2p.role_reversal {
-                config.dial_while_seeding = true;
-            }
             let mut seed_rng = SimRng::new(0);
             let peer_id = PeerId::generate(PeerIdStyle::Random, addr, &mut seed_rng);
             let mut client = Client::with_progress(
-                config,
+                self.spec.client_config(),
                 self.spec.torrent.info_hash,
                 peer_id,
                 self.spec.torrent.fresh_progress(),
@@ -2607,8 +2509,7 @@ impl TaskState {
         generation,
         started,
         completed_at,
-        announce_fails,
-        last_min_interval,
+        announcer,
         saved_addrs,
         conn_index,
         peer_bytes,

@@ -9,6 +9,9 @@
 //! * [`packet`] — the packet-level world: sim-TCP segments over wireless
 //!   channel models, with the AM filter in the datapath. Used for paper
 //!   Figs. 2 and 8(a).
+//! * `host` (crate-private) — the client host both worlds share: the
+//!   announce and outage policy and the fault and checker plumbing.
+//!   Each world keeps only its transport.
 //! * [`harness`] — the parallel deterministic sweep runner every
 //!   experiment driver fans its (point × run) cells through.
 //! * [`invariants`] — the swarm-wide invariant checker each world owns
@@ -24,6 +27,7 @@
 pub mod experiments;
 pub mod flow;
 pub mod harness;
+mod host;
 pub mod invariants;
 pub mod packet;
 pub mod rates;

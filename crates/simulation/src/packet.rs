@@ -14,13 +14,19 @@
 //! * **BitTorrent overlay** ([`PacketWorld::add_client`]): full client
 //!   sessions whose wire messages are framed onto the TCP byte streams
 //!   (paper Fig. 8(a)).
+//!
+//! This module is the packet transport: endpoints, channels, framing
+//! and the event loop. The announce and tracker-outage policy, the
+//! fault cursor and the invariant checker are the client host both
+//! worlds share (the crate-private `host` module); this world only
+//! routes announces to its one tracker.
 
-use crate::invariants::{InvariantChecker, ARMED_BY_DEFAULT};
+use crate::host::{Announcer, Oversight};
 use bittorrent::client::{Action, Client, ClientConfig};
 use bittorrent::metainfo::InfoHash;
 use bittorrent::peer_id::{PeerId, PeerIdStyle};
 use bittorrent::progress::TorrentProgress;
-use bittorrent::tracker::{AnnounceEvent, AnnounceRequest, Tracker, TrackerConfig};
+use bittorrent::tracker::{Tracker, TrackerConfig};
 use bittorrent::wire::Message;
 use metrics::handle::MetricsHandle;
 use metrics::registry::Counter;
@@ -30,7 +36,7 @@ use sim_tcp::segment::Segment;
 use sim_tcp::seq::SeqNum;
 use simnet::addr::{AddressBook, NodeId};
 use simnet::event::{EventToken, QueueStats};
-use simnet::fault::{FaultHooks, FaultInjector, FaultPlan};
+use simnet::fault::{FaultHooks, FaultPlan};
 use simnet::rng::SimRng;
 use simnet::sim::Simulator;
 use simnet::time::{SimDuration, SimTime};
@@ -62,12 +68,7 @@ struct PNode {
     client: Option<Client>,
     delivered_down: u64,
     delivered_up: u64,
-    /// Consecutive failed announces (tracker outage); indexes the
-    /// client's announce backoff policy, reset on success.
-    announce_fails: u32,
-    /// `min interval` of the last served announce, echoed in synthesized
-    /// outage-retry responses so a recovering tracker keeps its floor.
-    last_min_interval: SimDuration,
+    announcer: Announcer,
 }
 
 /// One TCP connection between two nodes (with optional BT framing).
@@ -147,15 +148,8 @@ pub struct PacketWorld {
     ber_baseline: BTreeMap<PNodeKey, f64>,
     /// Pre-fault channel bandwidth of squeezed nodes.
     bw_baseline: BTreeMap<PNodeKey, u64>,
-    tracker_down: bool,
-    /// The installed fault plan, polled after every event (see
-    /// [`PacketWorld::set_fault_plan`]).
-    faults: FaultInjector,
-    /// The world's own invariant checker; its history rides in the blob.
-    checker: InvariantChecker,
-    /// Whether every event ends with a check pass (see
-    /// [`PacketWorld::arm_invariants`]). Configuration, not serialized.
-    invariants_armed: bool,
+    /// Fault plan, tracker outage and invariant checker.
+    oversight: Oversight,
     metrics: MetricsHandle,
     m_fault_events: Counter,
 }
@@ -179,10 +173,7 @@ impl PacketWorld {
             crashed: BTreeSet::new(),
             ber_baseline: BTreeMap::new(),
             bw_baseline: BTreeMap::new(),
-            tracker_down: false,
-            faults: FaultInjector::default(),
-            checker: InvariantChecker::new(),
-            invariants_armed: ARMED_BY_DEFAULT,
+            oversight: Oversight::new(),
             metrics: MetricsHandle::disabled(),
             m_fault_events: Counter::default(),
         }
@@ -193,29 +184,22 @@ impl PacketWorld {
     /// `run_until` callback runs. A restore overwrites only the cursor,
     /// so a restored world installs the saved world's plan first.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        self.faults = FaultInjector::new(plan);
+        self.oversight.set_fault_plan(plan);
     }
 
-    /// Arms the world's own [`InvariantChecker`]: every later event ends
-    /// with a full check pass, and a violation panics. Worlds start
-    /// armed in debug builds and unarmed in release. Like the config,
-    /// arming is not in the blob: a restore leaves it as set here.
+    /// Arms the world's own
+    /// [`InvariantChecker`](crate::invariants::InvariantChecker): every
+    /// later event ends with a full check pass, and a violation panics.
+    /// Worlds start armed in debug builds and unarmed in release. Like
+    /// the config, arming is not in the blob: a restore leaves it as set
+    /// here.
     pub fn arm_invariants(&mut self) {
-        self.invariants_armed = true;
+        self.oversight.armed = true;
     }
 
     /// Fault actions (window begins/ends) applied so far.
     pub fn faults_applied(&self) -> usize {
-        self.faults.applied()
-    }
-
-    fn poll_faults(&mut self) {
-        let now = self.sim.now();
-        if self.faults.due(now) {
-            let mut faults = std::mem::take(&mut self.faults);
-            faults.poll(now, self);
-            self.faults = faults;
-        }
+        self.oversight.faults.applied()
     }
 
     /// Wires the world's observables into `handle`: a
@@ -263,8 +247,7 @@ impl PacketWorld {
             client: None,
             delivered_down: 0,
             delivered_up: 0,
-            announce_fails: 0,
-            last_min_interval: SimDuration::ZERO,
+            announcer: Announcer::default(),
         });
         self.node_conns.push(BTreeSet::new());
         key
@@ -418,14 +401,14 @@ impl PacketWorld {
 
     /// True while a fault-injected tracker outage is active.
     pub fn tracker_is_down(&self) -> bool {
-        self.tracker_down
+        self.oversight.tracker_down
     }
 
     /// Check passes the world's own checker has run: one per event
     /// while armed (see [`PacketWorld::arm_invariants`]), carried across
     /// save/restore.
     pub fn invariant_checks(&self) -> u64 {
-        self.checker.checks()
+        self.oversight.checker.checks()
     }
 
     /// AM filter stats for one side, if AM is enabled there.
@@ -868,70 +851,21 @@ impl PacketWorld {
                 }
             }
             Action::Announce { event } => {
-                if self.tracker_down {
-                    // The announce is lost. A client parks its announce
-                    // clock until it hears back, so either hand the
-                    // failure to its circuit breaker (armed clients: the
-                    // breaker owns retry pacing — the backoff ladder up
-                    // to the threshold, then cooloff-spaced probes) or
-                    // synthesize an empty retry response whose interval
-                    // follows the client's announce backoff policy
-                    // (capped exponential per consecutive failure; the
-                    // unarmed policy's first step is the legacy fixed
-                    // 60 s).
-                    if event != AnnounceEvent::Stopped {
-                        let Some(res) = self.nodes[node].client.as_ref().map(|c| *c.resilience())
-                        else {
-                            return;
-                        };
-                        let fails = self.nodes[node].announce_fails;
-                        self.nodes[node].announce_fails = fails.saturating_add(1);
-                        if res.breaker_threshold > 0 {
-                            if let Some(client) = self.nodes[node].client.as_mut() {
-                                client.on_announce_failed(now);
-                            }
-                            return;
-                        }
-                        let mut rng = self.rng.fork(810 + node as u64 + now.as_micros());
-                        let resp = bittorrent::tracker::AnnounceResponse {
-                            interval: res.announce.delay(fails, &mut rng),
-                            peers: Vec::new(),
-                            complete: 0,
-                            incomplete: 0,
-                            // The last served floor, not ZERO: outage
-                            // retries must never pace faster than the
-                            // healthy tracker ever allowed.
-                            min_interval: self.nodes[node].last_min_interval,
-                        };
-                        if let Some(client) = self.nodes[node].client.as_mut() {
-                            client.on_tracker_response(&resp, now);
-                        }
-                    }
-                    return;
-                }
-                self.nodes[node].announce_fails = 0;
-                let Some(client) = self.nodes[node].client.as_ref() else {
-                    return;
-                };
-                let ih = client.info_hash();
-                let pid = client.peer_id();
-                let seed = client.is_seed();
-                let addr = self.nodes[node].addr;
-                let mut rng = self.rng.fork(800 + node as u64 + now.as_micros());
-                let req = AnnounceRequest {
-                    info_hash: ih,
-                    peer_id: pid,
+                // One tracker, reachable unless a fault holds it down.
+                let PNode {
+                    client,
                     addr,
-                    event,
-                    is_seed: seed,
+                    announcer,
+                    ..
+                } = &mut self.nodes[node];
+                let Some(client) = client else {
+                    return;
                 };
-                let resp = self.tracker.announce(&req, now, &mut rng);
-                self.nodes[node].last_min_interval = resp.min_interval;
-                if event != AnnounceEvent::Stopped {
-                    if let Some(client) = self.nodes[node].client.as_mut() {
-                        client.on_tracker_response(&resp, now);
-                    }
-                }
+                let (tracker, down) = (&mut self.tracker, self.oversight.tracker_down);
+                let streams = (800 + node as u64, 810 + node as u64);
+                announcer.announce(client, *addr, event, now, &self.rng, streams, |req, rng| {
+                    (!down).then(|| tracker.announce(req, now, rng))
+                });
             }
             Action::PieceCompleted { .. } | Action::Completed => {}
         }
@@ -968,10 +902,7 @@ impl PacketWorld {
         }
         w.section("pconns");
         self.save_fields(&mut w);
-        self.faults.snap_cursor(&mut w);
-        self.checker.snap(&mut w);
-        self.metrics.snap_state(&mut w);
-        w.into_bytes()
+        self.oversight.save_tail(w, &self.metrics)
     }
 
     /// Restores state captured by [`PacketWorld::save`] into this world.
@@ -1015,10 +946,7 @@ impl PacketWorld {
                 }
             }
         }
-        self.faults.unsnap_cursor(&mut r);
-        self.checker = Snap::unsnap(&mut r);
-        self.metrics.restore_state(&mut r);
-        assert!(r.is_exhausted(), "snapshot has trailing bytes");
+        self.oversight.restore_tail(&mut r, &self.metrics);
     }
 
     snap_in_place!(fn save_fields / restore_fields {
@@ -1034,7 +962,7 @@ impl PacketWorld {
         crashed,
         ber_baseline,
         bw_baseline,
-        tracker_down,
+        oversight.tracker_down,
     });
 
     /// Runs until `deadline`; `on_event` is invoked after every processed
@@ -1062,12 +990,12 @@ impl PacketWorld {
                     self.sim.schedule_in(CLIENT_TICK, PEv::ClientTick);
                 }
             }
-            self.poll_faults();
+            Oversight::poll(self, now, |w| &mut w.oversight);
             on_event(self);
-            if self.invariants_armed {
-                let mut ck = std::mem::take(&mut self.checker);
+            if self.oversight.armed {
+                let mut ck = std::mem::take(&mut self.oversight.checker);
                 ck.check_packet(self);
-                self.checker = ck;
+                self.oversight.checker = ck;
             }
         }
     }
@@ -1142,12 +1070,12 @@ impl FaultHooks for PacketWorld {
     }
 
     fn begin_tracker_outage(&mut self) {
-        self.tracker_down = true;
+        self.oversight.tracker_down = true;
         self.fault_note("fault tracker outage".to_string());
     }
 
     fn end_tracker_outage(&mut self) {
-        self.tracker_down = false;
+        self.oversight.tracker_down = false;
         self.fault_note("fault tracker back".to_string());
     }
 
@@ -1238,8 +1166,7 @@ impl PNode {
     snap_in_place!(fn save_tail / restore_tail {
         delivered_down,
         delivered_up,
-        announce_fails,
-        last_min_interval,
+        announcer,
     });
 }
 
